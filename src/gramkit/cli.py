@@ -2,9 +2,10 @@
 minimum-energy control synthesis with machine-readable output.
 
 Exit codes are disjoint: 0 success, 2 validation failure, 3 numerical
-failure, 4 verification failure.  Reports default to JSON on stdout; files
-are written only when --out is given.  The JSON schema and CSV column order
-are documented in the README and carry a schema_version field.
+failure or floating-point range failure, 4 verification failure.  Reports
+default to JSON on stdout; files are written only when --out is given.  The
+JSON schema and CSV column order are documented in the README and carry a
+schema_version field.
 """
 
 from __future__ import annotations
@@ -18,20 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .energy import synthesize_min_energy_control, verify_control
-from .entropy import (
-    fisher_dual_determinant,
-    gaussian_entropy_from_fim,
-    nats_to_bits,
-    thermodynamic_entropy,
-)
+from .entropy import info_entropy_report, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
-from .gramian import (
-    finite_horizon_gramian,
-    gramian_determinant,
-    gramian_spectrum,
-    oscillator_gramian_closed_form,
-)
-from .lti import OscillatorParams, make_oscillator
+from .gramian import finite_horizon_gramian, gramian_spectrum, oscillator_gramian_closed_form
+from .lti import OscillatorParams, _require_positive, make_oscillator
 
 SCHEMA_VERSION = 1
 
@@ -67,7 +58,7 @@ def _fmt(value: float | None) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_grid(text: str, name: str) -> list[float]:
+def _parse_numbers(text: str, name: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
@@ -76,6 +67,11 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise ValueError(f"{name} must be non-empty")
     if any(not math.isfinite(v) for v in values):
         raise ValueError(f"{name} must contain only finite values")
+    return values
+
+
+def _parse_grid(text: str, name: str) -> list[float]:
+    values = _parse_numbers(text, name)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly increasing")
     return values
@@ -108,10 +104,8 @@ def _analysis_record(
         gram = oscillator_gramian_closed_form(params)
     else:
         gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
-    det_wc = gramian_determinant(gram)
+    chain = info_entropy_report(gram, c, k_b)
     spectrum = gramian_spectrum(gram)
-    det_i = fisher_dual_determinant(det_wc, c)
-    h = gaussian_entropy_from_fim(det_i, model.n)
     return {
         "schema_version": SCHEMA_VERSION,
         "zeta": params.zeta,
@@ -123,17 +117,17 @@ def _analysis_record(
         "horizon_seconds": gram.horizon.seconds,
         "gramian_method": gram.method,
         "gramian": gram.matrix.tolist(),
-        "det_wc": det_wc,
+        "det_wc": chain.det_wc,
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "trace": spectrum.trace,
         "condition_number": spectrum.condition_number,
         "duality_constant": c,
-        "det_i": det_i,
-        "differential_entropy_nats": h,
-        "differential_entropy_bits": nats_to_bits(h),
+        "det_i": chain.det_i,
+        "differential_entropy_nats": chain.differential_entropy_nats,
+        "differential_entropy_bits": nats_to_bits(chain.differential_entropy_nats),
         "boltzmann_constant": k_b,
-        "thermodynamic_entropy": thermodynamic_entropy(h, k_b),
-        "entropy_index": math.log(det_wc),
+        "thermodynamic_entropy": chain.thermodynamic_entropy,
+        "entropy_index": chain.entropy_index,
     }
 
 
@@ -172,15 +166,13 @@ def _record_to_text(record: dict) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -188,9 +180,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.horizon == "finite":
         if args.T is None:
             raise ValueError("--horizon finite needs --T")
-        if args.T <= 0.0:
-            raise ValueError(f"T must be > 0, got {args.T}")
-        horizon_seconds = args.T
+        horizon_seconds = _require_positive("T", args.T)
     else:
         if args.T is not None:
             raise ValueError("--T is only valid with --horizon finite")
@@ -206,22 +196,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_or_scalar(grid: str | None, scalar: float | None, flag: str) -> list[float]:
+    if grid is not None:
+        return _parse_grid(grid, f"{flag}-grid")
+    if scalar is None:
+        raise ValueError(f"sweep needs --{flag}-grid or a scalar --{flag}")
+    return [scalar]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     grids_given = args.zeta_grid is not None or args.omega_n_grid is not None or args.T_grid is not None
     if not grids_given:
         raise ValueError("sweep needs at least one of --zeta-grid, --omega-n-grid, --T-grid")
-    if args.zeta_grid is not None:
-        zetas = _parse_grid(args.zeta_grid, "zeta-grid")
-    else:
-        if args.zeta is None:
-            raise ValueError("sweep needs --zeta-grid or a scalar --zeta")
-        zetas = [args.zeta]
-    if args.omega_n_grid is not None:
-        omegas = _parse_grid(args.omega_n_grid, "omega-n-grid")
-    else:
-        if args.omega_n is None:
-            raise ValueError("sweep needs --omega-n-grid or a scalar --omega-n")
-        omegas = [args.omega_n]
+    zetas = _grid_or_scalar(args.zeta_grid, args.zeta, "zeta")
+    omegas = _grid_or_scalar(args.omega_n_grid, args.omega_n, "omega-n")
     horizons: list[float | None]
     if args.T_grid is not None:
         horizons = list(_parse_grid(args.T_grid, "T-grid"))
@@ -246,19 +234,17 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     if args.T is None:
         raise ValueError("synthesize needs --T")
-    target = [float(part) for part in args.xf.split(",")]
-    if len(target) != 2:
+    target = _parse_numbers(args.xf, "xf")
+    if len(target) != 2 or args.xf.count(",") != 1:
         raise ValueError(f"xf must have two components, got {args.xf!r}")
     model = make_oscillator(params)
     profile = synthesize_min_energy_control(model, args.T, np.array(target), args.steps)
     report = verify_control(model, profile)
 
-    header = "t,u" if model.m == 1 else "t," + ",".join(f"u{j}" for j in range(model.m))
-    rows = [header]
+    rows = ["t,u"]
     for t, u in zip(profile.times, profile.values):
         rows.append(",".join([_fmt(t)] + [_fmt(v) for v in u]))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+    _emit("\n".join(rows), args.out)
 
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -274,10 +260,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         "final_state_error": report.final_state_error,
         "profile_path": args.out,
     }
-    if args.format == "text":
-        sys.stdout.write(_record_to_text(record) + "\n")
-    else:
-        sys.stdout.write(json.dumps(record, indent=2) + "\n")
+    text = _record_to_text(record) if args.format == "text" else json.dumps(record, indent=2)
+    _emit(text, None)
     if report.final_state_error >= FINAL_STATE_TOL:
         print(
             f"error: verification failed, final state error {report.final_state_error:.3e} "
@@ -373,6 +357,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: numerical range failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGramianError
-from .gramian import GramianResult, finite_horizon_gramian
+from .gramian import SPD_RATIO_FLOOR, GramianResult, finite_horizon_gramian
 from .lti import (
     StateSpaceModel,
     _readonly,
-    _require_finite_scalar,
+    _require_positive,
+    _require_uniform_grid,
     matrix_exponential,
     simulate,
 )
@@ -41,14 +42,11 @@ class ControlProfile:
     predicted_energy: float
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _require_uniform_grid(self.times)
         values = np.asarray(self.values, dtype=float)
         target = np.asarray(self.target, dtype=float)
-        if times.ndim != 1 or len(times) < 2 or times[0] != 0.0:
-            raise ValueError("times must be a grid starting at 0 with >= 2 nodes")
-        spacing = np.diff(times)
-        if not np.all(spacing > 0.0) or not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-            raise ValueError("times must be strictly increasing with constant step")
+        if times[0] != 0.0:
+            raise ValueError("times must be a grid starting at 0")
         if values.ndim != 2 or len(values) != len(times):
             raise ValueError("values must be 2-D with one row per grid node")
         if not np.all(np.isfinite(values)) or not np.all(np.isfinite(target)):
@@ -82,12 +80,12 @@ def _spd_solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve W x = rhs for symmetric positive definite W via Cholesky.
 
     Raises SingularGramianError when W is not numerically positive definite
-    (eigenvalue ratio below 1e-14, or a failed factorization).  No
-    pseudo-inverse fallback: silent regularization would corrupt the energy
-    semantics.
+    (eigenvalue ratio at most SPD_RATIO_FLOOR, or a failed factorization).
+    No pseudo-inverse fallback: silent regularization would corrupt the
+    energy semantics.
     """
     eigenvalues = np.linalg.eigvalsh(W)
-    if eigenvalues[0] <= 1e-14 * eigenvalues[-1]:
+    if eigenvalues[0] <= SPD_RATIO_FLOOR * eigenvalues[-1]:
         raise SingularGramianError(
             f"Gramian is numerically singular (eigenvalues {eigenvalues[0]:.3e} "
             f".. {eigenvalues[-1]:.3e}); an uncontrollable direction is present"
@@ -100,6 +98,15 @@ def _spd_solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, y)
 
 
+def _require_target(x_f: np.ndarray, n: int) -> np.ndarray:
+    x_f = np.asarray(x_f, dtype=float)
+    if x_f.shape != (n,):
+        raise ValueError(f"x_f must have shape ({n},), got {x_f.shape}")
+    if not np.all(np.isfinite(x_f)):
+        raise ValueError("x_f must have finite entries")
+    return x_f
+
+
 def min_control_energy(g: GramianResult, x_f: np.ndarray) -> float:
     """Minimum energy x_f^T W^{-1} x_f to reach x_f from the origin.
 
@@ -107,11 +114,7 @@ def min_control_energy(g: GramianResult, x_f: np.ndarray) -> float:
     inverse.  Raises SingularGramianError when the Gramian is not
     numerically positive definite.
     """
-    x_f = np.asarray(x_f, dtype=float)
-    if x_f.shape != (g.n,):
-        raise ValueError(f"x_f must have shape ({g.n},), got {x_f.shape}")
-    if not np.all(np.isfinite(x_f)):
-        raise ValueError("x_f must have finite entries")
+    x_f = _require_target(x_f, g.n)
     energy = float(x_f @ _spd_solve(g.matrix, x_f))
     return max(energy, 0.0)
 
@@ -142,17 +145,11 @@ def synthesize_min_energy_control(
     SingularGramianError
         When the finite-horizon Gramian is not positive definite.
     """
-    T = _require_finite_scalar("T", T)
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
+    T = _require_positive("T", T)
     steps = int(steps)
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
-    x_f = np.asarray(x_f, dtype=float)
-    if x_f.shape != (model.n,):
-        raise ValueError(f"x_f must have shape ({model.n},), got {x_f.shape}")
-    if not np.all(np.isfinite(x_f)):
-        raise ValueError("x_f must have finite entries")
+    x_f = _require_target(x_f, model.n)
 
     gram = finite_horizon_gramian(model, T, method="augmented_expm")
     p = _spd_solve(gram.matrix, x_f)

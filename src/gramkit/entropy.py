@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramian import gramian_determinant, oscillator_gramian_closed_form
-from .lti import OscillatorParams, _require_finite_scalar
+from .gramian import GramianResult, gramian_determinant, oscillator_gramian_closed_form
+from .lti import OscillatorParams, _require_finite_scalar, _require_positive
 
 LN_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -36,20 +36,12 @@ def fisher_dual_determinant(det_wc: float, c: float = 1.0) -> float:
     Only the product det(W) * det(I) is fixed; c = 1 is this library's
     convention for the unspecified proportionality constant.
     """
-    det_wc = _require_finite_scalar("det_wc", det_wc)
-    c = _require_finite_scalar("c", c)
-    if det_wc <= 0.0:
-        raise ValueError(f"det_wc must be > 0, got {det_wc}")
-    if c <= 0.0:
-        raise ValueError(f"c must be > 0, got {c}")
-    return c / det_wc
+    return _require_positive("c", c) / _require_positive("det_wc", det_wc)
 
 
 def _check_entropy_args(det: float, n: int) -> tuple[float, int]:
-    det = _require_finite_scalar("determinant", det)
+    det = _require_positive("determinant", det)
     n = int(n)
-    if det <= 0.0:
-        raise ValueError(f"determinant must be > 0, got {det}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return det, n
@@ -94,21 +86,15 @@ def shannon_entropy(p: np.ndarray) -> float:
 def thermodynamic_entropy(entropy_nats: float, k_b: float = 1.0) -> float:
     """S = k_B * H for an entropy H in nats; k_B defaults to 1."""
     entropy_nats = _require_finite_scalar("entropy_nats", entropy_nats)
-    k_b = _require_finite_scalar("k_b", k_b)
-    if k_b <= 0.0:
-        raise ValueError(f"k_b must be > 0, got {k_b}")
-    return k_b * entropy_nats
+    return _require_positive("k_b", k_b) * entropy_nats
 
 
 def boltzmann_entropy(microstates: float, k_b: float = 1.0) -> float:
     """Microstate-count entropy S = k_B * ln(microstates), microstates >= 1."""
     microstates = _require_finite_scalar("microstates", microstates)
-    k_b = _require_finite_scalar("k_b", k_b)
     if microstates < 1.0:
         raise ValueError(f"microstates must be >= 1, got {microstates}")
-    if k_b <= 0.0:
-        raise ValueError(f"k_b must be > 0, got {k_b}")
-    return k_b * math.log(microstates)
+    return _require_positive("k_b", k_b) * math.log(microstates)
 
 
 def oscillator_entropy_index(zeta: float, omega_n: float) -> float:
@@ -152,13 +138,15 @@ class InfoEntropyReport:
 
 
 def info_entropy_report(
-    params: OscillatorParams, c: float = 1.0, k_b: float = 1.0
+    gram: GramianResult, c: float = 1.0, k_b: float = 1.0
 ) -> InfoEntropyReport:
-    """Assemble the full chain from the oscillator's closed-form Gramian."""
-    det_wc = gramian_determinant(oscillator_gramian_closed_form(params))
+    """Assemble the chain det(W) -> det(I) = c / det(W) -> H -> S = k_B * H.
+
+    Works for any Gramian: n is read from ``gram.n``.
+    """
+    det_wc = gramian_determinant(gram)
     det_i = fisher_dual_determinant(det_wc, c)
-    n = 2
-    h = gaussian_entropy_from_fim(det_i, n)
+    h = gaussian_entropy_from_fim(det_i, gram.n)
     return InfoEntropyReport(
         det_wc=det_wc,
         duality_constant=float(c),
@@ -166,5 +154,5 @@ def info_entropy_report(
         differential_entropy_nats=h,
         thermodynamic_entropy=thermodynamic_entropy(h, k_b),
         entropy_index=math.log(det_wc),
-        n=n,
+        n=gram.n,
     )

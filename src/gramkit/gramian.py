@@ -18,7 +18,8 @@ from .lti import (
     OscillatorParams,
     StateSpaceModel,
     _readonly,
-    _require_finite_scalar,
+    _require_nonnegative,
+    _require_square,
     expm_scaling_squaring,
     matrix_exponential,
 )
@@ -30,6 +31,10 @@ HURWITZ_THRESHOLD = -1e-12
 # Adaptive Simpson: absolute tolerance per matrix entry and leaf-panel cap.
 QUADRATURE_TOL = 1e-10
 QUADRATURE_PANEL_CAP = 2 ** 20
+
+# lambda_min / lambda_max at or below this marks a numerically uncontrollable
+# direction: flagged by gramian_spectrum, refused by the minimum-energy solve.
+SPD_RATIO_FLOOR = 1e-14
 
 _HORIZON_KINDS = ("finite", "infinite", "paper_adopted_undamped")
 _METHODS = ("closed_form", "lyapunov", "augmented_expm", "quadrature")
@@ -87,11 +92,7 @@ class GramianResult:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        W = np.asarray(self.matrix, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"Gramian must be square, got shape {W.shape}")
-        if not np.all(np.isfinite(W)):
-            raise ValueError("Gramian must have finite entries")
+        W = _require_square("Gramian", self.matrix)
         W = 0.5 * (W + W.T)
         object.__setattr__(self, "matrix", _readonly(W))
 
@@ -110,8 +111,6 @@ def _augmented_expm_gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarra
     long horizons, where the one-shot evaluation loses all precision.
     """
     n = A.shape[0]
-    if T == 0.0:
-        return np.zeros((n, n))
     doublings = 0
     norm = float(np.linalg.norm(A, 1))
     while norm * T / (2.0 ** doublings) > 1.0:
@@ -136,9 +135,6 @@ def _adaptive_simpson_gramian(
     A: np.ndarray, B: np.ndarray, T: float, tol: float, panel_cap: int
 ) -> np.ndarray:
     """Adaptive Simpson on the Gramian integrand, entrywise tolerance."""
-    n = A.shape[0]
-    if T == 0.0:
-        return np.zeros((n, n))
 
     def f(t: float) -> np.ndarray:
         col = matrix_exponential(A, t) @ B
@@ -197,17 +193,17 @@ def finite_horizon_gramian(
     QuadratureConvergenceError
         If adaptive Simpson does not converge within the panel cap.
     """
-    T = _require_finite_scalar("T", T)
-    if T < 0.0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    if method == "augmented_expm":
+    T = _require_nonnegative("T", T)
+    if method not in ("augmented_expm", "quadrature"):
+        raise ValueError(f"method must be 'augmented_expm' or 'quadrature', got {method!r}")
+    if T == 0.0:
+        W = np.zeros((model.n, model.n))
+    elif method == "augmented_expm":
         W = _augmented_expm_gramian(model.A, model.B, T)
-    elif method == "quadrature":
+    else:
         W = _adaptive_simpson_gramian(
             model.A, model.B, T, QUADRATURE_TOL, QUADRATURE_PANEL_CAP
         )
-    else:
-        raise ValueError(f"method must be 'augmented_expm' or 'quadrature', got {method!r}")
     return GramianResult(matrix=W, horizon=Horizon.finite(T), method=method)
 
 
@@ -283,8 +279,8 @@ def gramian_determinant(g: GramianResult) -> float:
 class GramianSpectrum:
     """Eigenvalues (ascending), trace, and condition number of a Gramian.
 
-    ``uncontrollable_direction`` flags lambda_min <= 1e-14 * lambda_max: an
-    eigendirection that is numerically unreachable with finite energy.
+    ``uncontrollable_direction`` flags lambda_min <= SPD_RATIO_FLOOR *
+    lambda_max: an eigendirection numerically unreachable with finite energy.
     """
 
     eigenvalues: np.ndarray
@@ -301,7 +297,7 @@ def gramian_spectrum(g: GramianResult) -> GramianSpectrum:
     eigenvalues = np.linalg.eigvalsh(g.matrix)
     lam_min = float(eigenvalues[0])
     lam_max = float(eigenvalues[-1])
-    flagged = lam_min <= 1e-14 * lam_max
+    flagged = lam_min <= SPD_RATIO_FLOOR * lam_max
     condition = math.inf if lam_min <= 0.0 else lam_max / lam_min
     return GramianSpectrum(
         eigenvalues=eigenvalues,

@@ -42,6 +42,39 @@ def _require_finite_scalar(name: str, value: float) -> float:
     return value
 
 
+def _require_positive(name: str, value: float) -> float:
+    value = _require_finite_scalar(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return value
+
+
+def _require_nonnegative(name: str, value: float) -> float:
+    value = _require_finite_scalar(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _require_square(name: str, M: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} must have finite entries")
+    return M
+
+
+def _require_uniform_grid(times: np.ndarray) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise ValueError("times must be a 1-D grid with at least two nodes")
+    steps = np.diff(times)
+    if not np.all(steps > 0.0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("times must be strictly increasing with constant step")
+    return times
+
+
 def classify_regime(zeta: float) -> DampingRegime:
     """Classify the damping regime of a dimensionless damping factor.
 
@@ -49,9 +82,7 @@ def classify_regime(zeta: float) -> DampingRegime:
     overdamped; values within ``CRITICAL_BAND`` of 1 count as critically
     damped so the classification stays stable under roundoff.
     """
-    zeta = _require_finite_scalar("zeta", zeta)
-    if zeta < 0.0:
-        raise ValueError(f"zeta must be >= 0, got {zeta}")
+    zeta = _require_nonnegative("zeta", zeta)
     if zeta == 0.0:
         return DampingRegime.UNDAMPED
     if abs(zeta - 1.0) < CRITICAL_BAND:
@@ -59,6 +90,14 @@ def classify_regime(zeta: float) -> DampingRegime:
     if zeta < 1.0:
         return DampingRegime.UNDERDAMPED
     return DampingRegime.OVERDAMPED
+
+
+def _physical_triple(mass: float, damping: float, stiffness: float) -> tuple[float, float, float]:
+    return (
+        _require_positive("mass", mass),
+        _require_nonnegative("damping", damping),
+        _require_positive("stiffness", stiffness),
+    )
 
 
 @dataclass(frozen=True)
@@ -79,12 +118,8 @@ class OscillatorParams:
     stiffness: float | None = None
 
     def __post_init__(self) -> None:
-        zeta = _require_finite_scalar("zeta", self.zeta)
-        omega_n = _require_finite_scalar("omega_n", self.omega_n)
-        if zeta < 0.0:
-            raise ValueError(f"zeta must be >= 0, got {zeta}")
-        if omega_n <= 0.0:
-            raise ValueError(f"omega_n must be > 0, got {omega_n}")
+        zeta = _require_nonnegative("zeta", self.zeta)
+        omega_n = _require_positive("omega_n", self.omega_n)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "omega_n", omega_n)
 
@@ -92,15 +127,7 @@ class OscillatorParams:
         if any(v is not None for v in physical):
             if any(v is None for v in physical):
                 raise ValueError("mass, damping, and stiffness must be given together")
-            m = _require_finite_scalar("mass", self.mass)
-            c = _require_finite_scalar("damping", self.damping)
-            k = _require_finite_scalar("stiffness", self.stiffness)
-            if m <= 0.0:
-                raise ValueError(f"mass must be > 0, got {m}")
-            if c < 0.0:
-                raise ValueError(f"damping must be >= 0, got {c}")
-            if k <= 0.0:
-                raise ValueError(f"stiffness must be > 0, got {k}")
+            m, c, k = _physical_triple(self.mass, self.damping, self.stiffness)
             zeta_drv = c / (2.0 * math.sqrt(m * k))
             omega_drv = math.sqrt(k / m)
             if not math.isclose(zeta_drv, zeta, rel_tol=1e-12, abs_tol=1e-12):
@@ -118,15 +145,7 @@ class OscillatorParams:
     @classmethod
     def from_physical(cls, mass: float, damping: float, stiffness: float) -> "OscillatorParams":
         """Build from the physical triple (m, c, k)."""
-        m = _require_finite_scalar("mass", mass)
-        c = _require_finite_scalar("damping", damping)
-        k = _require_finite_scalar("stiffness", stiffness)
-        if m <= 0.0:
-            raise ValueError(f"mass must be > 0, got {m}")
-        if c < 0.0:
-            raise ValueError(f"damping must be >= 0, got {c}")
-        if k <= 0.0:
-            raise ValueError(f"stiffness must be > 0, got {k}")
+        m, c, k = _physical_triple(mass, damping, stiffness)
         return cls(
             zeta=c / (2.0 * math.sqrt(m * k)),
             omega_n=math.sqrt(k / m),
@@ -161,16 +180,14 @@ class StateSpaceModel:
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=float)
+        A = _require_square("A", self.A)
         B = np.asarray(self.B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError(
                 f"B must be 2-D with {A.shape[0]} rows, got shape {B.shape}"
             )
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
-            raise ValueError("A and B must have finite entries")
+        if not np.all(np.isfinite(B)):
+            raise ValueError("B must have finite entries")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", _readonly(B))
 
@@ -192,16 +209,11 @@ class Trajectory:
     inputs: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _require_uniform_grid(self.times)
         states = np.asarray(self.states, dtype=float)
         inputs = np.asarray(self.inputs, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValueError("times must be a 1-D grid with at least two nodes")
         if len(states) != len(times) or len(inputs) != len(times):
             raise ValueError("times, states, and inputs must have equal length")
-        steps = np.diff(times)
-        if not np.all(steps > 0.0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("times must be strictly increasing with constant step")
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "states", _readonly(states))
         object.__setattr__(self, "inputs", _readonly(inputs))
@@ -244,11 +256,7 @@ def expm_scaling_squaring(M: np.ndarray) -> ExpmResult:
     ExpmResult
         ``matrix`` holds exp(M); ``squarings`` the number of squarings used.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix must have finite entries")
+    M = _require_square("M", M)
     n = M.shape[0]
     norm = float(np.linalg.norm(M, 1))
     squarings = 0
@@ -298,12 +306,16 @@ def _damped_cos_sin(zeta: float, omega_n: float, t: float) -> tuple[float, float
         env = math.exp(-decay)
         return env * math.cos(wd * t), env * math.sin(wd * t) / wd
     # Overdamped: combine the decay with cosh/sinh so no intermediate
-    # overflows and the small-mu*t cancellation goes through expm1.
+    # overflows; the small-mu*t cancellation goes through expm1 at a
+    # non-positive argument (factored on hi for t >= 0, on lo for t < 0).
     mu = omega_n * math.sqrt(zeta * zeta - 1.0)
     lo = math.exp(-(mu * t) - decay)
     hi = math.exp(mu * t - decay)
     c_d = 0.5 * (hi + lo)
-    s_d = lo * math.expm1(2.0 * mu * t) / (2.0 * mu)
+    if t >= 0.0:
+        s_d = hi * -math.expm1(-2.0 * mu * t) / (2.0 * mu)
+    else:
+        s_d = lo * math.expm1(2.0 * mu * t) / (2.0 * mu)
     return c_d, s_d
 
 
@@ -313,13 +325,9 @@ def oscillator_expm(zeta: float, omega_n: float, t: float) -> np.ndarray:
     Dispatches on the damping regime: trigonometric for zeta < 1, series
     within the near-critical band, exponential/hyperbolic for zeta > 1.
     """
-    zeta = _require_finite_scalar("zeta", zeta)
-    omega_n = _require_finite_scalar("omega_n", omega_n)
+    zeta = _require_nonnegative("zeta", zeta)
+    omega_n = _require_positive("omega_n", omega_n)
     t = _require_finite_scalar("t", t)
-    if zeta < 0.0:
-        raise ValueError(f"zeta must be >= 0, got {zeta}")
-    if omega_n <= 0.0:
-        raise ValueError(f"omega_n must be > 0, got {omega_n}")
     c_d, s_d = _damped_cos_sin(zeta, omega_n, t)
     zw = zeta * omega_n
     # A + zw*I = [[zw, 1], [-omega_n^2, -zw]]
@@ -349,11 +357,7 @@ def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
     else goes through the scaling-and-squaring evaluation.  The two paths
     agree to 1e-9 elementwise wherever both apply.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must have finite entries")
+    A = _require_square("A", A)
     t = _require_finite_scalar("t", t)
     shape = _oscillator_shape(A)
     if shape is not None:
@@ -389,9 +393,7 @@ def simulate(
     Trajectory
         times (steps+1,), states (steps+1, n), inputs (steps+1, m).
     """
-    T = _require_finite_scalar("T", T)
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
+    T = _require_positive("T", T)
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -133,7 +133,7 @@ def test_entropy_chain():
     for _ in range(100):
         zeta = rng.uniform(0.02, 5.0)
         omega_n = rng.uniform(0.1, 4.0)
-        chain = info_entropy_report(OscillatorParams(zeta, omega_n), c=1.0)
+        chain = info_entropy_report(oscillator_gramian_closed_form(OscillatorParams(zeta, omega_n)), c=1.0)
         index = oscillator_entropy_index(zeta, omega_n)
         assert index == pytest.approx(
             2.0 * (chain.differential_entropy_nats - LN_2PI_E), abs=1e-12
@@ -207,11 +207,11 @@ def test_convention_identities_only():
     # on a physical value for either.
     rng = np.random.default_rng(7)
     params = OscillatorParams(0.8, 1.3)
-    baseline = info_entropy_report(params, c=1.0, k_b=1.0)
+    baseline = info_entropy_report(oscillator_gramian_closed_form(params), c=1.0, k_b=1.0)
     for _ in range(50):
         c = rng.uniform(1e-3, 1e3)
         k_b = rng.uniform(1e-3, 1e3)
-        chain = info_entropy_report(params, c=c, k_b=k_b)
+        chain = info_entropy_report(oscillator_gramian_closed_form(params), c=c, k_b=k_b)
         assert chain.det_wc * chain.det_i == pytest.approx(c, rel=1e-12)
         assert chain.thermodynamic_entropy == pytest.approx(
             k_b * chain.differential_entropy_nats, rel=1e-15

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,11 +38,17 @@ CSV_HEADER = (
 )
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "gramkit.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -140,6 +148,17 @@ class TestAnalyze:
         assert result.returncode == 0
         assert result.stdout == ""
         assert json.loads(path.read_text())["det_wc"] == 0.015625
+
+
+    @pytest.mark.parametrize("omega_n", ["1e120", "1e-120"])
+    def test_range_failure_is_numerical_failure(self, omega_n):
+        # The closed-form Gramian overflows (1e120) or divides by an
+        # underflowed zero (1e-120): exit 3 with one diagnostic line.
+        result = run_cli("analyze", "--zeta", "0.5", "--omega-n", omega_n)
+        assert result.returncode == 3
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "numerical range failure" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestSweep:
@@ -269,3 +288,22 @@ class TestSynthesize:
         )
         assert result.returncode == 2
         assert "xf" in result.stderr
+
+    def test_unparseable_target_names_flag(self, tmp_path):
+        result = run_cli(
+            "synthesize", "--zeta", "0.5", "--omega-n", "1",
+            "--T", "5", "--xf", "a,0", "--out", str(tmp_path / "p.csv"),
+        )
+        assert result.returncode == 2
+        assert "xf" in result.stderr
+
+    def test_overdamped_long_horizon_ends_with_documented_exit(self, tmp_path):
+        # 2*mu*t reaches ~2.8e3 here, past the range of exp; the closed-form
+        # exponential must stay finite so the run ends in a documented way.
+        result = run_cli(
+            "synthesize", "--zeta", "3", "--omega-n", "10",
+            "--T", "50", "--xf", "1,0", "--out", str(tmp_path / "p.csv"),
+        )
+        assert result.returncode in (0, 3, 4)
+        assert len(result.stderr.strip().splitlines()) <= 1
+        assert "Traceback" not in result.stderr

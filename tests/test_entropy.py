@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gramkit.entropy import (
     BOLTZMANN_SI,
@@ -17,7 +18,8 @@ from gramkit.entropy import (
     shannon_entropy,
     thermodynamic_entropy,
 )
-from gramkit.lti import OscillatorParams
+from gramkit.gramian import infinite_horizon_gramian_lyapunov, oscillator_gramian_closed_form
+from gramkit.lti import OscillatorParams, StateSpaceModel
 
 
 class TestFisherDuality:
@@ -141,7 +143,7 @@ class TestReport:
             params = OscillatorParams(rng.uniform(0.05, 4.0), rng.uniform(0.2, 3.0))
             c = rng.uniform(0.1, 10.0)
             k_b = rng.uniform(0.1, 5.0)
-            report = info_entropy_report(params, c=c, k_b=k_b)
+            report = info_entropy_report(oscillator_gramian_closed_form(params), c=c, k_b=k_b)
             assert report.det_wc * report.det_i == pytest.approx(c, rel=1e-12)
             assert report.differential_entropy_nats == 0.5 * report.n * LN_2PI_E - 0.5 * math.log(
                 report.det_i
@@ -154,14 +156,30 @@ class TestReport:
         rng = np.random.default_rng(14)
         for _ in range(50):
             params = OscillatorParams(rng.uniform(0.05, 4.0), rng.uniform(0.2, 3.0))
-            report = info_entropy_report(params)
+            report = info_entropy_report(oscillator_gramian_closed_form(params))
             assert report.entropy_index == pytest.approx(-math.log(report.det_i), abs=1e-12)
             assert report.entropy_index == pytest.approx(
                 2.0 * (report.differential_entropy_nats - LN_2PI_E), abs=1e-12
             )
 
+    def test_three_state_lyapunov_gramian(self):
+        # n comes from the Gramian, so a 3-state system runs the same chain.
+        # Companion form with poles -1, -2, -3, driven through the last state.
+        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]])
+        B = np.array([[0.0], [0.0], [1.0]])
+        gram = infinite_horizon_gramian_lyapunov(StateSpaceModel(A=A, B=B))
+        report = info_entropy_report(gram, c=2.5, k_b=0.7)
+        assert report.n == 3
+        reference = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
+        assert report.det_wc == pytest.approx(np.linalg.det(reference), rel=1e-9)
+        assert report.det_wc * report.det_i == pytest.approx(2.5, rel=1e-12)
+        assert report.differential_entropy_nats == pytest.approx(
+            1.5 * LN_2PI_E - 0.5 * math.log(report.det_i), abs=1e-12
+        )
+        assert report.thermodynamic_entropy == 0.7 * report.differential_entropy_nats
+
     def test_undamped_branch_uses_adopted_convention(self):
-        report = info_entropy_report(OscillatorParams(0.0, 2.0))
+        report = info_entropy_report(oscillator_gramian_closed_form(OscillatorParams(0.0, 2.0)))
         assert report.det_wc == 0.25
         assert report.entropy_index == pytest.approx(-2.0 * math.log(2.0), abs=1e-14)
 

@@ -135,6 +135,18 @@ class TestMatrixExponential:
             general = expm_scaling_squaring(A * t).matrix
             np.testing.assert_allclose(closed, general, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "zeta,omega_n,t", [(3.0, 10.0, 13.0), (2.0, 1.0, 700.0), (1.5, 2.0, -0.7)]
+    )
+    def test_overdamped_matches_scipy_where_2_mu_t_leaves_exp_range(self, zeta, omega_n, t):
+        # 2*mu*t is ~735 and ~2425 in the first two cases, beyond exp's range,
+        # while exp(A t) itself is tiny but representable; the last case
+        # covers negative t.  Entries are far below 1, so compare relatively.
+        A = osc_model(zeta, omega_n).A
+        np.testing.assert_allclose(
+            oscillator_expm(zeta, omega_n, t), scipy.linalg.expm(A * t), rtol=1e-9, atol=0.0
+        )
+
     def test_dispatch_picks_closed_form(self):
         # Oscillator-shaped input goes through the closed form; the result
         # must still agree with the general path.
