@@ -262,7 +262,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     }
     text = _record_to_text(record) if args.format == "text" else json.dumps(record, indent=2)
     _emit(text, None)
-    if report.final_state_error >= FINAL_STATE_TOL:
+    if not report.final_state_error < FINAL_STATE_TOL:
         print(
             f"error: verification failed, final state error {report.final_state_error:.3e} "
             f">= {FINAL_STATE_TOL}",

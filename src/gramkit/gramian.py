@@ -120,56 +120,58 @@ def _augmented_expm_gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarra
     M[:n, :n] = -A
     M[:n, n:] = B @ B.T
     M[n:, n:] = A.T
-    F = expm_scaling_squaring(M * h).matrix
-    W = F[n:, n:].T @ F[:n, n:]
-    W = 0.5 * (W + W.T)
-    phi = F[n:, n:].T
-    for _ in range(doublings):
-        W = W + phi @ W @ phi.T
+    with np.errstate(over="raise", invalid="raise"):
+        F = expm_scaling_squaring(M * h).matrix
+        W = F[n:, n:].T @ F[:n, n:]
         W = 0.5 * (W + W.T)
-        phi = phi @ phi
+        phi = F[n:, n:].T
+        for _ in range(doublings):
+            W = W + phi @ W @ phi.T
+            W = 0.5 * (W + W.T)
+            phi = phi @ phi
     return W
 
 
 def _adaptive_simpson_gramian(
     A: np.ndarray, B: np.ndarray, T: float, tol: float, panel_cap: int
 ) -> np.ndarray:
-    """Adaptive Simpson on the Gramian integrand, entrywise tolerance."""
+    """Adaptive Simpson on the Gramian integrand, entrywise tolerance.
 
-    def f(t: float) -> np.ndarray:
+    Level-synchronous: the panels still open at one bisection level share
+    their tolerance and remaining forced depth, so one batched integrand
+    call refines them all.  The forced minimum depth guards against
+    spuriously small error estimates on the oscillatory integrand.
+    """
+
+    def f(t: np.ndarray) -> np.ndarray:
         col = matrix_exponential(A, t) @ B
-        return col @ col.T
+        return col @ col.swapaxes(-1, -2)
 
-    panels = 0
-
-    def recurse(a, fa, b, fb, mid, fmid, whole, tol, depth):
-        nonlocal panels
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = ((mid - a) / 6.0) * (fa + 4.0 * flm + fmid)
-        right = ((b - mid) / 6.0) * (fmid + 4.0 * frm + fb)
-        err = left + right - whole
-        if depth <= 0 and np.abs(err).max() <= 15.0 * tol:
-            return left + right + err / 15.0
-        panels += 2
+    # Open panels: nodes (a, mid, b), the integrand there, Simpson estimate.
+    x = np.array([[0.0, 0.5 * T, T]])
+    fx = f(x)
+    whole = (T / 6.0) * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+    total, panels, depth = 0.0, 0, 6
+    while len(x):
+        # Bisect every panel into nodes (a, lm, mid, rm, b).
+        x5 = np.insert(x, [1, 2], 0.5 * (x[:, :-1] + x[:, 1:]), axis=1)
+        f5 = np.insert(fx, [1, 2], f(x5[:, 1::2]), axis=1)
+        width = (x5[:, 2::2] - x5[:, :3:2]) / 6.0
+        halves = width[..., None, None] * (f5[:, :3:2] + 4.0 * f5[:, 1::2] + f5[:, 2::2])
+        err = halves[:, 0] + halves[:, 1] - whole
+        done = (np.abs(err).max(axis=(1, 2)) <= 15.0 * tol) & (depth <= 0)
+        total = total + np.sum((halves[:, 0] + halves[:, 1] + err / 15.0)[done], axis=0)
+        keep = ~done
+        panels += 2 * int(np.count_nonzero(keep))
         if panels > panel_cap:
             raise QuadratureConvergenceError(
                 f"adaptive Simpson exceeded {panel_cap} panels on [0, {T}]"
             )
-        return recurse(a, fa, mid, fmid, lm, flm, left, 0.5 * tol, depth - 1) + recurse(
-            mid, fmid, b, fb, rm, frm, right, 0.5 * tol, depth - 1
-        )
-
-    fa = f(0.0)
-    fb = f(T)
-    mid = 0.5 * T
-    fmid = f(mid)
-    whole = (T / 6.0) * (fa + 4.0 * fmid + fb)
-    # A forced minimum depth guards against spuriously small error estimates
-    # on the oscillatory integrand.
-    return recurse(0.0, fa, T, fb, mid, fmid, whole, tol, depth=6)
+        x = np.concatenate([x5[keep, :3], x5[keep, 2:]])
+        fx = np.concatenate([f5[keep, :3], f5[keep, 2:]])
+        whole = np.concatenate([halves[keep, 0], halves[keep, 1]])
+        tol, depth = 0.5 * tol, depth - 1
+    return total
 
 
 def finite_horizon_gramian(
@@ -249,15 +251,16 @@ def oscillator_gramian_closed_form(params: OscillatorParams) -> GramianResult:
     diag(1/omega_n^2, 1) is returned under the distinct
     ``paper_adopted_undamped`` horizon tag so callers opt in knowingly.
     """
-    wn = params.omega_n
-    if params.zeta > 0.0:
-        z = params.zeta
-        W = np.diag([1.0 / (4.0 * z * wn ** 3), 1.0 / (4.0 * z * wn)])
+    wn, z = params.omega_n, params.zeta
+    if z > 0.0:
+        diagonal = [1.0 / (4.0 * z * wn ** 3), 1.0 / (4.0 * z * wn)]
         horizon = Horizon.infinite()
     else:
-        W = np.diag([1.0 / (wn * wn), 1.0])
+        diagonal = [1.0 / (wn * wn), 1.0]
         horizon = Horizon.adopted_undamped()
-    return GramianResult(matrix=W, horizon=horizon, method="closed_form")
+    if not all(map(math.isfinite, diagonal)):
+        raise OverflowError(f"closed-form Gramian overflows at zeta={z}, omega_n={wn}")
+    return GramianResult(matrix=np.diag(diagonal), horizon=horizon, method="closed_form")
 
 
 def gramian_determinant(g: GramianResult) -> float:
@@ -267,12 +270,13 @@ def gramian_determinant(g: GramianResult) -> float:
     injects an avoidable ulp of noise, and the closed-form oscillator
     determinants are expected exactly.
     """
-    W = g.matrix
-    if g.n == 1:
-        return float(W[0, 0])
-    if g.n == 2:
-        return float(W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0])
-    return float(np.linalg.det(W))
+    if g.n > 2:
+        return float(np.linalg.det(g.matrix))
+    W = g.matrix.tolist()
+    det = W[0][0] if g.n == 1 else W[0][0] * W[1][1] - W[0][1] * W[1][0]
+    if not math.isfinite(det):
+        raise OverflowError(f"Gramian determinant overflows (entries {W})")
+    return det
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-# |zeta - 1| below CRITICAL_BAND classifies as critically damped; within
-# SERIES_BAND the exponential is evaluated by a series in omega_n^2*(zeta^2-1)
-# because the trigonometric/hyperbolic forms divide by omega_n*sqrt(|zeta^2-1|)
-# and cancel catastrophically as the damped frequency goes to zero.
+# |zeta - 1| below CRITICAL_BAND classifies as critically damped.  The
+# exponential itself needs no band: zeta^2 - 1 is formed as (1-zeta)(1+zeta),
+# exact near 1, and the damped sine enters through sinc, so both regime forms
+# reduce continuously to the critical one (C = 1, S = t) at zeta = 1.
 CRITICAL_BAND = 1e-9
-SERIES_BAND = 1e-6
 
 
 class DampingRegime(Enum):
@@ -225,8 +224,11 @@ def make_oscillator(params: OscillatorParams) -> StateSpaceModel:
     A = [[0, 1], [-omega_n^2, -2*zeta*omega_n]], B = [[0], [1]]: the input is
     the normalized force acting directly on the acceleration.
     """
-    wn = params.omega_n
-    A = np.array([[0.0, 1.0], [-wn * wn, -2.0 * params.zeta * wn]])
+    wn, zeta = params.omega_n, params.zeta
+    a10, a11 = -wn * wn, -2.0 * zeta * wn
+    if not (math.isfinite(a10) and math.isfinite(a11)):
+        raise OverflowError(f"oscillator matrix overflows at zeta={zeta}, omega_n={wn}")
+    A = np.array([[0.0, 1.0], [a10, a11]])
     B = np.array([[0.0], [1.0]])
     return StateSpaceModel(A=A, B=B)
 
@@ -275,68 +277,46 @@ def expm_scaling_squaring(M: np.ndarray) -> ExpmResult:
     return ExpmResult(matrix=out, squarings=squarings)
 
 
-def _damped_cos_sin(zeta: float, omega_n: float, t: float) -> tuple[float, float]:
+def _damped_cos_sin(zeta: float, omega_n: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped kernel pair (e^{-zeta*omega_n*t} * C, e^{-zeta*omega_n*t} * S).
 
     C and S solve C'' = s*C, S'' = s*S with s = omega_n^2*(zeta^2 - 1),
     C(0)=1, S(0)=0, S'(0)=1; the regime exponential is then
     exp(A t) = Cd*I + Sd*(A + zeta*omega_n*I).
     """
-    s = (zeta * zeta - 1.0) * omega_n * omega_n
     decay = zeta * omega_n * t
-    st2 = s * t * t
-    if abs(zeta - 1.0) <= SERIES_BAND and abs(st2) <= 4.0:
-        # Series in s*t^2; at zeta == 1 only the leading terms survive and
-        # this reduces to the critical form C = 1, S = t.  The |s*t^2| guard
-        # keeps the sum convergent; beyond it the decay envelope has long
-        # since flattened the trig/hyperbolic cancellation.
-        c_term, s_term = 1.0, t
-        c_sum, s_sum = c_term, s_term
-        for k in range(1, 30):
-            c_term *= st2 / ((2 * k - 1) * (2 * k))
-            s_term *= st2 / ((2 * k) * (2 * k + 1))
-            c_sum += c_term
-            s_sum += s_term
-            if abs(c_term) <= 1e-18 * abs(c_sum) and abs(s_term) <= 1e-18 * max(abs(s_sum), 1e-300):
-                break
-        env = math.exp(-decay)
-        return env * c_sum, env * s_sum
-    if zeta < 1.0:
-        wd = omega_n * math.sqrt(1.0 - zeta * zeta)
-        env = math.exp(-decay)
-        return env * math.cos(wd * t), env * math.sin(wd * t) / wd
+    if zeta <= 1.0:
+        wd = omega_n * math.sqrt((1.0 - zeta) * (1.0 + zeta))
+        env = np.exp(-decay)
+        return env * np.cos(wd * t), env * t * np.sinc(wd * t / math.pi)
     # Overdamped: combine the decay with cosh/sinh so no intermediate
     # overflows; the small-mu*t cancellation goes through expm1 at a
-    # non-positive argument (factored on hi for t >= 0, on lo for t < 0).
-    mu = omega_n * math.sqrt(zeta * zeta - 1.0)
-    lo = math.exp(-(mu * t) - decay)
-    hi = math.exp(mu * t - decay)
-    c_d = 0.5 * (hi + lo)
-    if t >= 0.0:
-        s_d = hi * -math.expm1(-2.0 * mu * t) / (2.0 * mu)
-    else:
-        s_d = lo * math.expm1(2.0 * mu * t) / (2.0 * mu)
-    return c_d, s_d
+    # non-positive argument, factored on the larger of hi and lo.
+    mu = omega_n * math.sqrt((zeta - 1.0) * (zeta + 1.0))
+    lo = np.exp(-(mu * t) - decay)
+    hi = np.exp(mu * t - decay)
+    s_d = np.where(t >= 0.0, hi, -lo) * -np.expm1(-2.0 * mu * np.abs(t)) / (2.0 * mu)
+    return 0.5 * (hi + lo), s_d
 
 
-def oscillator_expm(zeta: float, omega_n: float, t: float) -> np.ndarray:
+def oscillator_expm(zeta: float, omega_n: float, t: float | np.ndarray) -> np.ndarray:
     """Closed-form exp(A t) for the oscillator dynamics matrix.
 
-    Dispatches on the damping regime: trigonometric for zeta < 1, series
-    within the near-critical band, exponential/hyperbolic for zeta > 1.
+    Trigonometric for zeta <= 1 (exactly the critical form at zeta == 1),
+    exponential/hyperbolic for zeta > 1.  ``t`` may be a scalar or an
+    array; the result has shape ``t.shape + (2, 2)``.
     """
     zeta = _require_nonnegative("zeta", zeta)
     omega_n = _require_positive("omega_n", omega_n)
-    t = _require_finite_scalar("t", t)
-    c_d, s_d = _damped_cos_sin(zeta, omega_n, t)
+    t = np.asarray(t, dtype=float)
+    for bad in t[~np.isfinite(t)]:
+        _require_finite_scalar("t", bad)  # raises on the first non-finite entry
+    with np.errstate(over="raise", invalid="raise"):
+        c_d, s_d = _damped_cos_sin(zeta, omega_n, t)
     zw = zeta * omega_n
     # A + zw*I = [[zw, 1], [-omega_n^2, -zw]]
-    return np.array(
-        [
-            [c_d + s_d * zw, s_d],
-            [-s_d * omega_n * omega_n, c_d - s_d * zw],
-        ]
-    )
+    out = np.stack([c_d + s_d * zw, s_d, -s_d * omega_n * omega_n, c_d - s_d * zw], axis=-1)
+    return out.reshape(t.shape + (2, 2))
 
 
 def _oscillator_shape(A: np.ndarray) -> tuple[float, float] | None:
@@ -350,19 +330,22 @@ def _oscillator_shape(A: np.ndarray) -> tuple[float, float] | None:
     return zeta, omega_n
 
 
-def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
+def matrix_exponential(A: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """exp(A t) for a finite square matrix; t may be negative.
 
-    Oscillator-shaped matrices take the per-regime closed form; everything
-    else goes through the scaling-and-squaring evaluation.  The two paths
-    agree to 1e-9 elementwise wherever both apply.
+    ``t`` may be a scalar or an array; the result has shape
+    ``t.shape + A.shape``.  Oscillator-shaped matrices take the per-regime
+    closed form; everything else goes through the scaling-and-squaring
+    evaluation, one ``t`` at a time.  The two paths agree to 1e-9
+    elementwise wherever both apply.
     """
     A = _require_square("A", A)
-    t = _require_finite_scalar("t", t)
     shape = _oscillator_shape(A)
     if shape is not None:
         return oscillator_expm(shape[0], shape[1], t)
-    return expm_scaling_squaring(A * t).matrix
+    t = np.asarray(t, dtype=float)
+    out = [expm_scaling_squaring(A * _require_finite_scalar("t", s)).matrix for s in t.ravel()]
+    return np.array(out).reshape(t.shape + A.shape)
 
 
 def simulate(
@@ -409,22 +392,25 @@ def simulate(
     if not np.all(np.isfinite(x0)) or not np.all(np.isfinite(u)):
         raise ValueError("x0 and u must have finite entries")
 
+    # One step with linearly interpolated input is affine in (x, u_i, u_i+1):
+    # the four stages run once on identity blocks give [R | S0 | S1], and
+    # each step is then x <- R x + S0 u_i + S1 u_i+1.
     A, B = model.A, model.B
     h = T / steps
+    x, u0, u1 = np.eye(n, n + 2 * m), np.eye(m, n + 2 * m, n), np.eye(m, n + 2 * m, n + m)
+    um = 0.5 * (u0 + u1)
+    k1 = A @ x + B @ u0
+    k2 = A @ (x + 0.5 * h * k1) + B @ um
+    k3 = A @ (x + 0.5 * h * k2) + B @ um
+    k4 = A @ (x + h * k3) + B @ u1
+    step = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    R, S0, S1 = step[:, :n], step[:, n : n + m], step[:, n + m :]
+    drive = u[:-1] @ S0.T + u[1:] @ S1.T
     times = np.linspace(0.0, T, steps + 1)
     states = np.empty((steps + 1, n))
-    states[0] = x0
-    x = x0.copy()
+    states[0] = x = x0
     for i in range(steps):
-        u0 = u[i]
-        u1 = u[i + 1]
-        um = 0.5 * (u0 + u1)
-        k1 = A @ x + B @ u0
-        k2 = A @ (x + 0.5 * h * k1) + B @ um
-        k3 = A @ (x + 0.5 * h * k2) + B @ um
-        k4 = A @ (x + h * k3) + B @ u1
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = x
+        states[i + 1] = x = R @ x + drive[i]
     return Trajectory(times=times, states=states, inputs=u)
 
 

@@ -160,6 +160,26 @@ class TestAnalyze:
         assert "numerical range failure" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # omega_n^2 or 2*zeta*omega_n overflows while building A.
+            ["--zeta", "0.5", "--omega-n", "1e200"],
+            ["--zeta", "1e300", "--omega-n", "1e10"],
+            # 1/(4*zeta*omega_n^3) overflows in the closed-form Gramian.
+            ["--zeta", "1e-320", "--omega-n", "1"],
+            # The Gramian entries are finite but their product is not.
+            ["--zeta", "5e-324", "--omega-n", "8.67e15"],
+            # The interval doubling of the finite-horizon Gramian overflows.
+            ["--zeta", "0.5", "--omega-n", "6e16", "--horizon", "finite", "--T", "6e16"],
+        ],
+    )
+    def test_overflow_is_one_line_numerical_failure(self, args):
+        result = run_cli("analyze", *args)
+        assert result.returncode == 3
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "numerical range failure" in result.stderr
+
 
 class TestSweep:
     def test_grid_product_row_count_and_order(self):
@@ -307,3 +327,30 @@ class TestSynthesize:
         assert result.returncode in (0, 3, 4)
         assert len(result.stderr.strip().splitlines()) <= 1
         assert "Traceback" not in result.stderr
+
+    def test_overflowing_energy_is_one_line_numerical_failure(self, tmp_path):
+        # x_f^T W^-1 x_f overflows at |x_f| = 1e300.
+        result = run_cli(
+            "synthesize", "--zeta", "0.5", "--omega-n", "1",
+            "--T", "5", "--xf", "1e300,0", "--out", str(tmp_path / "p.csv"),
+        )
+        assert result.returncode == 3
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "numerical range failure" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # h * rho(A) is ~3.4 at the default 2000 steps, past RK4's
+            # stability region, so the verifier's state overflows to NaN.
+            ["--zeta", "15", "--omega-n", "15", "--T", "15"],
+            ["--zeta", "3", "--omega-n", "10", "--T", "50", "--steps", "500"],
+        ],
+    )
+    def test_diverged_verifier_is_verification_failure(self, tmp_path, args):
+        result = run_cli(
+            "synthesize", *args, "--xf", "1,0", "--out", str(tmp_path / "p.csv"),
+        )
+        assert result.returncode == 4
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "verification failed" in result.stderr

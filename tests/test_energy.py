@@ -137,6 +137,22 @@ class TestSynthesis:
         assert result.final_state_error < 1e-4
         assert result.energy_mismatch < 1e-3
 
+    def test_matches_per_sample_formula(self):
+        # The batched synthesis against u*(t) = B^T exp(A^T (T - t)) W^-1 x_f
+        # evaluated one sample at a time.
+        from gramkit.lti import StateSpaceModel, matrix_exponential
+
+        A = np.array([[-0.5, 1.0, 0.0], [-1.0, -0.5, 0.4], [0.2, -0.3, -1.0]])
+        B = np.array([[0.0, 0.2], [1.0, 0.0], [0.1, 0.8]])
+        model = StateSpaceModel(A=A, B=B)
+        x_f = np.array([0.7, -0.2, 0.4])
+        profile = synthesize_min_energy_control(model, 4.0, x_f, 200)
+        p = np.linalg.solve(finite_horizon_gramian(model, 4.0).matrix, x_f)
+        expected = np.array([B.T @ (matrix_exponential(A, 4.0 - t).T @ p) for t in profile.times])
+        np.testing.assert_allclose(
+            profile.values, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
+        )
+
     def test_validation(self):
         model = osc_model(0.5, 1.0)
         with pytest.raises(ValueError, match="> 0"):

@@ -111,7 +111,9 @@ class TestFiniteHorizon:
         assert g.method == method
 
     def test_methods_agree(self):
-        for zeta, omega_n, T in [(0.3, 1.0, 2.0), (1.5, 0.7, 4.0), (0.0, 1.0, 7.3)]:
+        for zeta, omega_n, T in [
+            (0.3, 1.0, 2.0), (1.5, 0.7, 4.0), (0.0, 1.0, 7.3), (1.0, 1.0, 5.0), (1.0 + 1e-7, 1.0, 3.0)
+        ]:
             model = osc_model(zeta, omega_n)
             wa = finite_horizon_gramian(model, T, "augmented_expm").matrix
             wq = finite_horizon_gramian(model, T, "quadrature").matrix
@@ -250,3 +252,61 @@ class TestGramianResult:
                 horizon=Horizon.infinite(),
                 method="lyapunov",
             )
+
+
+class TestRangeFailures:
+    # Results that leave the double range raise OverflowError naming the
+    # computation, never ValueError (a caller's mistake) or a warning.
+    def test_closed_form_overflow(self):
+        with pytest.raises(OverflowError, match="zeta=1e-320"):
+            oscillator_gramian_closed_form(OscillatorParams(1e-320, 1.0))
+
+    def test_determinant_overflow(self):
+        g = oscillator_gramian_closed_form(OscillatorParams(5e-324, 8.67e15))
+        with pytest.raises(OverflowError, match="determinant"):
+            gramian_determinant(g)
+
+    def test_doubling_overflow(self):
+        with pytest.raises(ArithmeticError):
+            finite_horizon_gramian(osc_model(0.5, 6e16), 6e16)
+
+
+class TestLevelSynchronousSimpson:
+    def test_same_nodes_and_value_as_recursive_scheme(self, monkeypatch):
+        # The recursive scheme: refine until a panel at depth <= 0 meets
+        # 15 * tol, halving tol per level.
+        model = osc_model(0.3, 2.0)
+        A, B, T, tol = model.A, model.B, 3.0, 1e-9
+        reference_nodes = []
+        kernel = gramian_mod.matrix_exponential
+
+        def f(t):
+            reference_nodes.append(t)
+            col = kernel(A, t) @ B
+            return col @ col.T
+
+        def recurse(a, fa, b, fb, mid, fmid, whole, tol, depth):
+            lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
+            flm, frm = f(lm), f(rm)
+            left = ((mid - a) / 6.0) * (fa + 4.0 * flm + fmid)
+            right = ((b - mid) / 6.0) * (fmid + 4.0 * frm + fb)
+            err = left + right - whole
+            if depth <= 0 and np.abs(err).max() <= 15.0 * tol:
+                return left + right + err / 15.0
+            return recurse(a, fa, mid, fmid, lm, flm, left, 0.5 * tol, depth - 1) + recurse(
+                mid, fmid, b, fb, rm, frm, right, 0.5 * tol, depth - 1
+            )
+
+        fa, fmid, fb = f(0.0), f(0.5 * T), f(T)
+        expected = recurse(0.0, fa, T, fb, 0.5 * T, fmid, (T / 6.0) * (fa + 4.0 * fmid + fb), tol, 6)
+
+        nodes = []
+
+        def recording_kernel(A, t):
+            nodes.extend(np.ravel(t).tolist())
+            return kernel(A, t)
+
+        monkeypatch.setattr(gramian_mod, "matrix_exponential", recording_kernel)
+        got = gramian_mod._adaptive_simpson_gramian(A, B, T, tol, 2 ** 20)
+        assert sorted(nodes) == sorted(reference_nodes)
+        np.testing.assert_allclose(got, expected, rtol=1e-14)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -154,9 +155,9 @@ class TestMatrixExponential:
         assert np.array_equal(matrix_exponential(A, 0.8), oscillator_expm(0.7, 1.3, 0.8))
 
     def test_near_critical_band_is_smooth(self):
-        # The series band exists to avoid cancellation as the damped
-        # frequency vanishes: at every offset around zeta = 1 the dispatched
-        # form must track the dense reference for the same dynamics matrix.
+        # The closed forms must not cancel as the damped frequency vanishes:
+        # at every offset around zeta = 1 the dispatched form must track the
+        # dense reference for the same dynamics matrix.
         for offset in (1e-4, 1e-6, 1e-7, 1e-8, 1e-10):
             for zeta in (1.0 - offset, 1.0 + offset):
                 A = osc_model(zeta, 1.0).A
@@ -164,6 +165,46 @@ class TestMatrixExponential:
                     closed = oscillator_expm(zeta, 1.0, t)
                     dense = expm_scaling_squaring(A * t).matrix
                     assert np.abs(closed - dense).max() < 1e-6
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 3.0])
+    def test_batched_equals_scalar_calls(self, zeta):
+        # An array of t is the same kernel applied elementwise, bit for bit,
+        # and the result has shape t.shape + (2, 2).
+        t = np.linspace(-1.5, 40.0, 24).reshape(4, 6)
+        batched = oscillator_expm(zeta, 1.3, t)
+        assert batched.shape == (4, 6, 2, 2)
+        scalar = np.array([oscillator_expm(zeta, 1.3, s) for s in t.ravel()])
+        assert np.array_equal(batched, scalar.reshape(batched.shape))
+        A = osc_model(zeta, 1.3).A
+        assert np.array_equal(matrix_exponential(A, t), batched)
+
+    def test_batched_general_matrix_equals_scalar_calls(self):
+        A = np.array([[-1.0, 0.4, 0.0], [0.2, -0.5, 1.0], [0.0, -0.3, -2.0]])
+        t = np.array([[0.0, 0.25], [1.5, -2.0]])
+        batched = matrix_exponential(A, t)
+        assert batched.shape == (2, 2, 3, 3)
+        for idx in np.ndindex(t.shape):
+            assert np.array_equal(batched[idx], matrix_exponential(A, t[idx]))
+        with pytest.raises(ValueError, match="t must be finite, got -inf"):
+            matrix_exponential(A, np.array([1.0, -np.inf]))
+        with pytest.raises(ValueError, match="t must be finite, got nan"):
+            oscillator_expm(0.5, 1.0, np.array([[0.0, np.nan]]))
+
+    @pytest.mark.parametrize("omega_n", [0.5, 2.0])
+    def test_near_critical_matches_40_digit_reference(self, omega_n):
+        # scipy's expm is itself off by ~1e-10 here, so the reference is a
+        # 40-digit mpmath exponential of the same (zeta, omega_n) matrix.
+        with mpmath.workdps(40):
+            for offset in (1e-12, 1e-9, 1e-8, 1e-6, 2e-6, 1e-4):
+                for zeta in (1.0 - offset, 1.0 + offset):
+                    A = mpmath.matrix(
+                        [[0, 1], [-mpmath.mpf(omega_n) ** 2, -2 * mpmath.mpf(zeta) * omega_n]]
+                    )
+                    for t in (-1.5, 0.5, 5.0, 40.0, 200.0):
+                        ref = np.array(mpmath.expm(A * t).tolist(), dtype=float)
+                        got = oscillator_expm(zeta, omega_n, t)
+                        scale = np.abs(ref).max()
+                        assert np.abs(got - ref).max() <= 2e-13 * scale, (zeta, t)
 
     def test_general_path_matches_scipy(self):
         rng = np.random.default_rng(123)
@@ -207,6 +248,27 @@ class TestMatrixExponential:
 
 
 class TestSimulate:
+    def test_matches_stage_by_stage_rk4(self):
+        # The precomputed affine step against the four RK4 stages evaluated
+        # at every step with linearly interpolated input.
+        rng = np.random.default_rng(8)
+        model = StateSpaceModel(A=rng.normal(size=(3, 3)) - 2.0 * np.eye(3), B=rng.normal(size=(3, 2)))
+        A, B, T, steps = model.A, model.B, 2.0, 50
+        u = rng.normal(size=(steps + 1, 2))
+        x0 = rng.normal(size=3)
+        h = T / steps
+        x, expected = x0, [x0]
+        for i in range(steps):
+            um = 0.5 * (u[i] + u[i + 1])
+            k1 = A @ x + B @ u[i]
+            k2 = A @ (x + 0.5 * h * k1) + B @ um
+            k3 = A @ (x + 0.5 * h * k2) + B @ um
+            k4 = A @ (x + h * k3) + B @ u[i + 1]
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(x)
+        states = simulate(model, u, x0, T, steps).states
+        np.testing.assert_allclose(states, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
     def test_equilibrium_stays_put(self):
         model = osc_model(0.5, 1.0)
         traj = simulate(model, np.zeros(101), np.zeros(2), T=1.0, steps=100)
@@ -277,3 +339,8 @@ class TestStateSpaceModel:
             StateSpaceModel(A=np.zeros((2, 2)), B=np.zeros((3, 1)))
         with pytest.raises(ValueError, match="finite"):
             StateSpaceModel(A=np.full((2, 2), np.inf), B=np.zeros((2, 1)))
+
+    def test_oscillator_overflow_names_parameters(self):
+        for zeta, omega_n in [(0.5, 1e200), (1e300, 1e10)]:
+            with pytest.raises(OverflowError, match=r"zeta=.*omega_n="):
+                make_oscillator(OscillatorParams(zeta, omega_n))
