@@ -34,9 +34,13 @@ def fisher_dual_determinant(det_wc: float, c: float = 1.0) -> float:
     """Dual Fisher-information determinant c / det(W).
 
     Only the product det(W) * det(I) is fixed; c = 1 is this library's
-    convention for the unspecified proportionality constant.
+    convention for the unspecified proportionality constant.  Raises
+    ``ArithmeticError`` when the quotient leaves the double range.
     """
-    return _require_positive("c", c) / _require_positive("det_wc", det_wc)
+    det_i = _require_positive("c", c) / _require_positive("det_wc", det_wc)
+    if not 0.0 < det_i < math.inf:
+        raise ArithmeticError(f"det(I) = c / det(W) = {c} / {det_wc} leaves the double range")
+    return det_i
 
 
 def _check_entropy_args(det: float, n: int) -> tuple[float, int]:
@@ -84,17 +88,26 @@ def shannon_entropy(p: np.ndarray) -> float:
 
 
 def thermodynamic_entropy(entropy_nats: float, k_b: float = 1.0) -> float:
-    """S = k_B * H for an entropy H in nats; k_B defaults to 1."""
+    """S = k_B * H for an entropy H in nats; k_B defaults to 1.
+
+    Raises ``OverflowError`` when k_B * H is not finite.
+    """
     entropy_nats = _require_finite_scalar("entropy_nats", entropy_nats)
-    return _require_positive("k_b", k_b) * entropy_nats
+    s = _require_positive("k_b", k_b) * entropy_nats
+    if not math.isfinite(s):
+        raise OverflowError(f"S = k_B * H overflows (k_B={k_b}, H={entropy_nats})")
+    return s
 
 
 def boltzmann_entropy(microstates: float, k_b: float = 1.0) -> float:
-    """Microstate-count entropy S = k_B * ln(microstates), microstates >= 1."""
+    """Microstate-count entropy S = k_B * ln(microstates), microstates >= 1.
+
+    Raises ``OverflowError`` when k_B * ln(microstates) is not finite.
+    """
     microstates = _require_finite_scalar("microstates", microstates)
     if microstates < 1.0:
         raise ValueError(f"microstates must be >= 1, got {microstates}")
-    return _require_positive("k_b", k_b) * math.log(microstates)
+    return thermodynamic_entropy(math.log(microstates), k_b)
 
 
 def oscillator_entropy_index(zeta: float, omega_n: float) -> float:

@@ -9,6 +9,7 @@ unique symmetric positive definite solution of A W + W A^T = -B B^T.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,8 +213,11 @@ def finite_horizon_gramian(
 def infinite_horizon_gramian_lyapunov(model: StateSpaceModel) -> GramianResult:
     """Infinite-horizon Gramian as the solution of A W + W A^T = -B B^T.
 
-    Solved by Kronecker vectorization of the linear system, which is exact
-    at small-n scale.  The Frobenius residual of the solve is recorded on
+    Solved directly (LU) on the n(n+1)/2 unknowns W_kl, k <= l, of the
+    symmetric solution: row (p, q), p <= q, of the operator is
+    sum_k A_pk W_kq + A_qk W_pk, scattered onto the column of each
+    unknown.  Both triangles of W are filled from the one solution, so W is
+    exactly symmetric.  The Frobenius residual of the solve is recorded on
     the result.
 
     Raises
@@ -232,11 +236,17 @@ def infinite_horizon_gramian_lyapunov(model: StateSpaceModel) -> GramianResult:
             "the infinite-horizon Gramian does not exist"
         )
     Q = B @ B.T
-    eye = np.eye(n)
-    # vec(A W + W A^T) = (I (x) A + A (x) I) vec(W)
-    coeff = np.kron(eye, A) + np.kron(A, eye)
-    W = np.linalg.solve(coeff, -Q.reshape(-1)).reshape(n, n)
-    W = 0.5 * (W + W.T)
+    p, q = np.triu_indices(n)
+    m = p.size
+    # idx[k, l] = idx[l, k] is the unknown holding W_kl.
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[p, q] = idx[q, p] = np.arange(m)
+    # Row (p, q): A_pk at the column of W_kq, A_qk at the column of W_pk.
+    cols = np.concatenate([idx[:, q].T, idx[p]], axis=1)
+    cols += np.arange(0, m * m, m)[:, None]
+    values = np.concatenate([A[p], A[q]], axis=1)
+    coeff = np.bincount(cols.ravel(), weights=values.ravel(), minlength=m * m)
+    W = np.linalg.solve(coeff.reshape(m, m), -Q[p, q])[idx]
     residual = float(np.linalg.norm(A @ W + W @ A.T + Q, "fro"))
     return GramianResult(
         matrix=W, horizon=Horizon.infinite(), method="lyapunov", residual=residual
@@ -268,14 +278,21 @@ def gramian_determinant(g: GramianResult) -> float:
 
     The 2x2 case uses the cofactor formula directly: LAPACK's LU path
     injects an avoidable ulp of noise, and the closed-form oscillator
-    determinants are expected exactly.
+    determinants are expected exactly.  There, ``OverflowError`` is raised
+    when det(W) overflows, and ``ArithmeticError`` when the product of two
+    nonzero diagonal entries falls below the normal double range.
     """
     if g.n > 2:
         return float(np.linalg.det(g.matrix))
     W = g.matrix.tolist()
-    det = W[0][0] if g.n == 1 else W[0][0] * W[1][1] - W[0][1] * W[1][0]
+    if g.n == 1:
+        return W[0][0]
+    diagonal = W[0][0] * W[1][1]
+    det = diagonal - W[0][1] * W[1][0]
     if not math.isfinite(det):
         raise OverflowError(f"Gramian determinant overflows (entries {W})")
+    if W[0][0] and W[1][1] and abs(diagonal) < sys.float_info.min:
+        raise ArithmeticError(f"Gramian determinant underflows (entries {W})")
     return det
 
 

@@ -172,6 +172,12 @@ class TestAnalyze:
             ["--zeta", "5e-324", "--omega-n", "8.67e15"],
             # The interval doubling of the finite-horizon Gramian overflows.
             ["--zeta", "0.5", "--omega-n", "6e16", "--horizon", "finite", "--T", "6e16"],
+            # S = k_B * H overflows.
+            ["--zeta", "0.5", "--omega-n", "1e-5", "--kb", "1e308"],
+            # det(I) = c / det(W) overflows.
+            ["--zeta", "0.5", "--omega-n", "100", "--duality-c", "1e300"],
+            # det(W) of a positive diagonal underflows to 0.
+            ["--zeta", "1e300", "--omega-n", "1"],
         ],
     )
     def test_overflow_is_one_line_numerical_failure(self, args):

@@ -36,6 +36,11 @@ class TestFisherDuality:
         with pytest.raises(ValueError):
             fisher_dual_determinant(det, c)
 
+    @pytest.mark.parametrize("det,c", [(2.5e-9, 1e300), (1e300, 1e-30)])
+    def test_out_of_range_quotient_is_a_range_failure(self, det, c):
+        with pytest.raises(ArithmeticError, match="double range"):
+            fisher_dual_determinant(det, c)
+
 
 class TestGaussianEntropy:
     def test_unit_covariance(self):
@@ -105,6 +110,12 @@ class TestThermodynamicEntropy:
             boltzmann_entropy(0.5)
         with pytest.raises(ValueError, match="k_b"):
             thermodynamic_entropy(1.0, k_b=0.0)
+
+    def test_overflow_is_a_range_failure(self):
+        with pytest.raises(OverflowError, match="k_B"):
+            thermodynamic_entropy(25.0, k_b=1e308)
+        with pytest.raises(OverflowError, match="k_B"):
+            boltzmann_entropy(1e300, k_b=1e307)
 
 
 class TestEntropyIndex:

@@ -3,7 +3,7 @@
 Every finite input ends in exit 0, 2, 3 or 4; a non-zero exit prints exactly
 one stderr line and exit 0 prints none; no floating-point warning fires on
 the way (warnings are escalated to errors here); and a successful run
-reports no NaN.
+reports no NaN or infinity.
 """
 
 import contextlib
@@ -30,7 +30,7 @@ def check_contract(argv):
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), (argv, err.getvalue())
     if code == 0:
-        assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), argv
+        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE), argv
 
 
 @contract

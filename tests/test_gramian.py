@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,7 @@ from gramkit.gramian import (
     infinite_horizon_gramian_lyapunov,
     oscillator_gramian_closed_form,
 )
-from gramkit.lti import OscillatorParams, make_oscillator
+from gramkit.lti import OscillatorParams, StateSpaceModel, make_oscillator
 
 # W_T for zeta=0.7, omega_n=1, T=1, frozen from a brute-force fixed-step
 # composite Simpson rule with 1e5 panels before either Gramian path existed.
@@ -34,6 +36,15 @@ def osc_model(zeta, omega_n):
 
 def analytic_infinite(zeta, omega_n):
     return np.diag([1.0 / (4.0 * zeta * omega_n**3), 1.0 / (4.0 * zeta * omega_n)])
+
+
+def random_hurwitz(n, abscissa):
+    """Random A shifted to the given spectral abscissa, B with >= 2 inputs."""
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
+    A = G - (np.linalg.eigvals(G).real.max() - abscissa) * np.eye(n)
+    B = rng.standard_normal((n, max(2, n // 2)))
+    return StateSpaceModel(A=A, B=B)
 
 
 class TestClosedForm:
@@ -89,6 +100,43 @@ class TestLyapunov:
         g = infinite_horizon_gramian_lyapunov(model)
         reference = scipy.linalg.solve_continuous_lyapunov(model.A, -(model.B @ model.B.T))
         np.testing.assert_allclose(g.matrix, reference, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "model, rtol",
+        [
+            pytest.param(random_hurwitz(1, -0.5), 1e-12, id="n1"),
+            pytest.param(random_hurwitz(3, -0.5), 1e-12, id="n3"),
+            pytest.param(random_hurwitz(12, -0.5), 1e-12, id="n12"),
+            pytest.param(random_hurwitz(30, -0.5), 1e-12, id="n30"),
+            # Defective: a double eigenvalue at -1 with a single eigenvector.
+            pytest.param(osc_model(1.0, 1.0), 1e-12, id="critical"),
+            # The slowest mode decays at rate 1e-4, so W and its sensitivity
+            # to roundoff both grow like 1e4.
+            pytest.param(random_hurwitz(12, -1e-4), 1e-10, id="abscissa-1e-4"),
+        ],
+    )
+    def test_symmetric_solve(self, model, rtol):
+        A, Q = model.A, model.B @ model.B.T
+        g = infinite_horizon_gramian_lyapunov(model)
+        W = g.matrix
+        reference = scipy.linalg.solve_continuous_lyapunov(A, -Q)
+        assert np.linalg.norm(W - reference) <= rtol * np.linalg.norm(reference)
+        assert np.array_equal(W, W.T)
+        scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(W) + np.linalg.norm(Q)
+        assert g.residual <= 1e-12 * scale
+        assert g.residual == np.linalg.norm(A @ W + W @ A.T + Q)
+
+    def test_peak_allocation_at_n30(self):
+        # The n^2 x n^2 Kronecker operator alone is 6.5 MB at n = 30; the
+        # symmetric operator on the n(n+1)/2 unknowns is 1.7 MB.
+        model = random_hurwitz(30, -0.5)
+        tracemalloc.start()
+        try:
+            infinite_horizon_gramian_lyapunov(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestFiniteHorizon:
@@ -255,8 +303,8 @@ class TestGramianResult:
 
 
 class TestRangeFailures:
-    # Results that leave the double range raise OverflowError naming the
-    # computation, never ValueError (a caller's mistake) or a warning.
+    # Results that leave the double range raise an ArithmeticError naming
+    # the computation, never ValueError (a caller's mistake) or a warning.
     def test_closed_form_overflow(self):
         with pytest.raises(OverflowError, match="zeta=1e-320"):
             oscillator_gramian_closed_form(OscillatorParams(1e-320, 1.0))
@@ -265,6 +313,14 @@ class TestRangeFailures:
         g = oscillator_gramian_closed_form(OscillatorParams(5e-324, 8.67e15))
         with pytest.raises(OverflowError, match="determinant"):
             gramian_determinant(g)
+
+    def test_determinant_underflow(self):
+        g = oscillator_gramian_closed_form(OscillatorParams(1e300, 1.0))
+        with pytest.raises(ArithmeticError, match="underflows"):
+            gramian_determinant(g)
+        # Exact cancellation is a singular Gramian, not an underflow.
+        singular = GramianResult(np.ones((2, 2)), Horizon.infinite(), "closed_form")
+        assert gramian_determinant(singular) == 0.0
 
     def test_doubling_overflow(self):
         with pytest.raises(ArithmeticError):
