@@ -155,9 +155,12 @@ def info_entropy_report(
 ) -> InfoEntropyReport:
     """Assemble the chain det(W) -> det(I) = c / det(W) -> H -> S = k_B * H.
 
-    Works for any Gramian: n is read from ``gram.n``.
+    Works for any Gramian: n is read from ``gram.n``.  Raises
+    ``ArithmeticError`` when det(W) <= 0, where c / det(W) is not finite.
     """
     det_wc = gramian_determinant(gram)
+    if not det_wc > 0.0:
+        raise ArithmeticError(f"det(W) = {det_wc} is not positive, so c / det(W) is not finite")
     det_i = fisher_dual_determinant(det_wc, c)
     h = gaussian_entropy_from_fim(det_i, gram.n)
     return InfoEntropyReport(

@@ -280,10 +280,22 @@ def gramian_determinant(g: GramianResult) -> float:
     injects an avoidable ulp of noise, and the closed-form oscillator
     determinants are expected exactly.  There, ``OverflowError`` is raised
     when det(W) overflows, and ``ArithmeticError`` when the product of two
-    nonzero diagonal entries falls below the normal double range.
+    nonzero diagonal entries falls below the normal double range.  For
+    n > 2, ``OverflowError`` is raised when det(W) overflows, and
+    ``ArithmeticError`` when it is 0 or subnormal while ``slogdet`` finds
+    W nonsingular.
     """
     if g.n > 2:
-        return float(np.linalg.det(g.matrix))
+        with np.errstate(over="ignore", under="ignore"):
+            det = float(np.linalg.det(g.matrix))
+        if sys.float_info.min <= abs(det) < math.inf:
+            return det
+        sign, logdet = np.linalg.slogdet(g.matrix)
+        if not math.isfinite(det):
+            raise OverflowError(f"Gramian determinant overflows (ln|det W| = {logdet})")
+        if sign != 0.0:
+            raise ArithmeticError(f"Gramian determinant underflows (ln|det W| = {logdet})")
+        return det
     W = g.matrix.tolist()
     if g.n == 1:
         return W[0][0]

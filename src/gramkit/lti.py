@@ -348,6 +348,24 @@ def matrix_exponential(A: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     return np.array(out).reshape(t.shape + A.shape)
 
 
+def _rk4_affine_step(model: StateSpaceModel, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One RK4 step with linearly interpolated input as ``x + E x + S0 u_i + S1 u_i+1``.
+
+    The step is affine in (x, u_i, u_i+1), so the four stages run once on
+    identity blocks give [E | S0 | S1]; E = R - I is returned without the
+    identity so that callers can keep its low bits.
+    """
+    A, B, n, m = model.A, model.B, model.n, model.m
+    x, u0, u1 = np.eye(n, n + 2 * m), np.eye(m, n + 2 * m, n), np.eye(m, n + 2 * m, n + m)
+    um = 0.5 * (u0 + u1)
+    k1 = A @ x + B @ u0
+    k2 = A @ (x + 0.5 * h * k1) + B @ um
+    k3 = A @ (x + 0.5 * h * k2) + B @ um
+    k4 = A @ (x + h * k3) + B @ u1
+    step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return step[:, :n], step[:, n : n + m], step[:, n + m :]
+
+
 def simulate(
     model: StateSpaceModel,
     u: np.ndarray,
@@ -356,6 +374,10 @@ def simulate(
     steps: int,
 ) -> Trajectory:
     """Integrate ``xdot = A x + B u`` with classical fixed-step RK4.
+
+    With linearly interpolated input one RK4 step is the affine map
+    ``x_i+1 = R x_i + d_i`` with a constant R, so the trajectory is computed
+    as a prefix scan in ceil(log2(steps)) levels of matrix products.
 
     Parameters
     ----------
@@ -392,25 +414,23 @@ def simulate(
     if not np.all(np.isfinite(x0)) or not np.all(np.isfinite(u)):
         raise ValueError("x0 and u must have finite entries")
 
-    # One step with linearly interpolated input is affine in (x, u_i, u_i+1):
-    # the four stages run once on identity blocks give [R | S0 | S1], and
-    # each step is then x <- R x + S0 u_i + S1 u_i+1.
-    A, B = model.A, model.B
-    h = T / steps
-    x, u0, u1 = np.eye(n, n + 2 * m), np.eye(m, n + 2 * m, n), np.eye(m, n + 2 * m, n + m)
-    um = 0.5 * (u0 + u1)
-    k1 = A @ x + B @ u0
-    k2 = A @ (x + 0.5 * h * k1) + B @ um
-    k3 = A @ (x + 0.5 * h * k2) + B @ um
-    k4 = A @ (x + h * k3) + B @ u1
-    step = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    R, S0, S1 = step[:, :n], step[:, n : n + m], step[:, n + m :]
-    drive = u[:-1] @ S0.T + u[1:] @ S1.T
+    E, S0, S1 = _rk4_affine_step(model, T / steps)
+    # Hillis-Steele / Kogge-Stone scan over the affine maps: after the level
+    # of stride s, row i of states[1:] holds the sum of R^j c_i-j over j < 2s,
+    # where c_0 = R x0 + d_0 and c_i = d_i.  E holds R^s - I (R^2s - I =
+    # 2 E + E^2), which keeps the low bits that rounding R itself drops.
     times = np.linspace(0.0, T, steps + 1)
     states = np.empty((steps + 1, n))
-    states[0] = x = x0
-    for i in range(steps):
-        states[i + 1] = x = R @ x + drive[i]
+    states[0] = x0
+    states[1:] = u[:-1] @ S0.T + u[1:] @ S1.T
+    states[1] += x0 + E @ x0
+    s = 1
+    while s < steps:
+        prev = states[1 : steps + 1 - s]
+        states[s + 1 :] += prev + prev @ E.T
+        s *= 2
+        if s < steps:  # one squaring past the last level could overflow
+            E = 2.0 * E + E @ E
     return Trajectory(times=times, states=states, inputs=u)
 
 

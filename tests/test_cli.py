@@ -178,6 +178,8 @@ class TestAnalyze:
             ["--zeta", "0.5", "--omega-n", "100", "--duality-c", "1e300"],
             # det(W) of a positive diagonal underflows to 0.
             ["--zeta", "1e300", "--omega-n", "1"],
+            # The finite-horizon Gramian's entries underflow, so det(W) = 0.
+            ["--zeta", "0.5", "--omega-n", "1", "--horizon", "finite", "--T", "1e-300"],
         ],
     )
     def test_overflow_is_one_line_numerical_failure(self, args):

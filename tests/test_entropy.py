@@ -18,7 +18,12 @@ from gramkit.entropy import (
     shannon_entropy,
     thermodynamic_entropy,
 )
-from gramkit.gramian import infinite_horizon_gramian_lyapunov, oscillator_gramian_closed_form
+from gramkit.gramian import (
+    GramianResult,
+    Horizon,
+    infinite_horizon_gramian_lyapunov,
+    oscillator_gramian_closed_form,
+)
 from gramkit.lti import OscillatorParams, StateSpaceModel
 
 
@@ -188,6 +193,15 @@ class TestReport:
             1.5 * LN_2PI_E - 0.5 * math.log(report.det_i), abs=1e-12
         )
         assert report.thermodynamic_entropy == 0.7 * report.differential_entropy_nats
+
+    def test_nonpositive_determinant_is_a_range_failure(self):
+        # c / det(W) is not finite when det(W) <= 0, whether W is singular
+        # or its positive determinant underflowed.
+        singular = GramianResult(np.ones((2, 2)), Horizon.infinite(), "closed_form")
+        tiny = infinite_horizon_gramian_lyapunov(StateSpaceModel(A=-np.eye(3), B=1e-110 * np.eye(3)))
+        for gram in (singular, tiny):
+            with pytest.raises(ArithmeticError):
+                info_entropy_report(gram)
 
     def test_undamped_branch_uses_adopted_convention(self):
         report = info_entropy_report(oscillator_gramian_closed_form(OscillatorParams(0.0, 2.0)))

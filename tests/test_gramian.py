@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,21 @@ class TestRangeFailures:
             gramian_determinant(g)
         # Exact cancellation is a singular Gramian, not an underflow.
         singular = GramianResult(np.ones((2, 2)), Horizon.infinite(), "closed_form")
+        assert gramian_determinant(singular) == 0.0
+
+    def test_lyapunov_determinant_range(self):
+        # n > 2: det(W) of a positive definite W that underflows to 0 or
+        # overflows to inf is a range failure, raised without a warning.
+        tiny = infinite_horizon_gramian_lyapunov(StateSpaceModel(A=-np.eye(3), B=1e-110 * np.eye(3)))
+        huge = infinite_horizon_gramian_lyapunov(StateSpaceModel(A=-1e-3 * np.eye(4), B=1e80 * np.eye(4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="underflows"):
+                gramian_determinant(tiny)
+            with pytest.raises(OverflowError, match="overflows"):
+                gramian_determinant(huge)
+        # A singular W keeps its exact 0.
+        singular = GramianResult(np.ones((3, 3)), Horizon.infinite(), "lyapunov")
         assert gramian_determinant(singular) == 0.0
 
     def test_doubling_overflow(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from gramkit.lti import (
     matrix_exponential,
     oscillator_expm,
     simulate,
+    _rk4_affine_step,
 )
 
 # exp(A) for zeta=0.5, omega_n=1, frozen from the scaling-and-squaring
@@ -247,6 +249,36 @@ class TestMatrixExponential:
             matrix_exponential(np.eye(2), float("inf"))
 
 
+def exact_step_recurrence(model, u, x0, T, steps):
+    """States of x_i+1 = x_i + E x_i + S0 u_i + S1 u_i+1 in 30-digit arithmetic.
+
+    E, S0 and S1 are simulate's float64 step blocks, so R = I + E and the
+    drive are formed without rounding; only the recurrence itself is oracle.
+    """
+    E, S0, S1 = _rk4_affine_step(model, T / steps)
+    with mpmath.workdps(30):
+        rows = [[mpmath.mpf(v) for v in e + s] for e, s in zip(E.tolist(), np.hstack([S0, S1]).tolist())]
+        samples = [[mpmath.mpf(v) for v in row] for row in u.tolist()]
+        x = [mpmath.mpf(v) for v in x0.tolist()]
+        out = [x]
+        for i in range(steps):
+            xu = x + samples[i] + samples[i + 1]
+            x = [xk + mpmath.fdot(row, xu) for xk, row in zip(x, rows)]
+            out.append(x)
+        return np.array([[float(v) for v in row] for row in out])
+
+
+def stepped_recurrence(model, u, x0, T, steps):
+    """The per-step float64 loop x <- R x + d_i that simulate's scan replaced."""
+    E, S0, S1 = _rk4_affine_step(model, T / steps)
+    R = np.eye(model.n) + E
+    drive = u[:-1] @ S0.T + u[1:] @ S1.T
+    states = [x0]
+    for d in drive:
+        states.append(R @ states[-1] + d)
+    return np.array(states)
+
+
 class TestSimulate:
     def test_matches_stage_by_stage_rk4(self):
         # The precomputed affine step against the four RK4 stages evaluated
@@ -268,6 +300,56 @@ class TestSimulate:
             expected.append(x)
         states = simulate(model, u, x0, T, steps).states
         np.testing.assert_allclose(states, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+    def test_scan_against_exact_recurrence(self):
+        # Oscillators across regimes up to T = 200, two multi-input models
+        # and one 20,000-step run, with white-noise input (the hardest case
+        # for cancellation).  Each run stays within 1e-14 max|x| of the exact
+        # recurrence; over the grid the scan's worst error is no worse than
+        # the per-step loop's.  Per run the loop can win at the 1e-15 level
+        # (lightly damped, large omega_n * h), so that comparison is not
+        # made run by run.
+        rng = np.random.default_rng(61)
+        cases = [(osc_model(z, 1.0), T, 2000) for z in (0.0, 0.02, 1.0, 2.5, 3.0) for T in (1.0, 20.0, 200.0)]
+        for n in (3, 12):
+            A = rng.normal(size=(n, n))
+            A -= (np.abs(np.linalg.eigvals(A).real).max() + 0.5) * np.eye(n)
+            cases.append((StateSpaceModel(A=A, B=rng.normal(size=(n, 2))), 10.0, 2000))
+        cases.append((osc_model(0.0, 1.0), 200.0, 20_000))
+        worst_scan = worst_loop = 0.0
+        for model, T, steps in cases:
+            u = rng.normal(size=(steps + 1, model.m))
+            x0 = rng.normal(size=model.n)
+            exact = exact_step_recurrence(model, u, x0, T, steps)
+            scale = np.abs(exact).max()
+            scan_error = np.abs(simulate(model, u, x0, T, steps).states - exact).max() / scale
+            loop_error = np.abs(stepped_recurrence(model, u, x0, T, steps) - exact).max() / scale
+            assert scan_error <= 1e-14, (model.A.tolist(), T, steps, scan_error)
+            worst_scan, worst_loop = max(worst_scan, scan_error), max(worst_loop, loop_error)
+        assert worst_scan <= worst_loop
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 1000])
+    def test_step_counts_off_powers_of_two(self, steps):
+        rng = np.random.default_rng(steps)
+        model = StateSpaceModel(A=np.array([[0.0, 1.0], [-4.0, -0.4]]), B=rng.normal(size=(2, 2)))
+        u = rng.normal(size=(steps + 1, 2))
+        x0 = rng.normal(size=2)
+        traj = simulate(model, u, x0, 3.0, steps)
+        exact = exact_step_recurrence(model, u, x0, 3.0, steps)
+        assert traj.states.shape == (steps + 1, 2)
+        assert traj.states[0].tolist() == x0.tolist()
+        np.testing.assert_allclose(traj.states, exact, rtol=0.0, atol=1e-14 * np.abs(exact).max())
+
+    def test_no_spurious_overflow(self):
+        # R^2000 = 9.5e303 is finite; R^4096 is not, so the scan must not
+        # square its powers past the last level it uses.
+        model = StateSpaceModel(A=np.array([[1.0]]), B=np.array([[1.0]]))
+        x0, u = np.array([1.0]), np.zeros(2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final = simulate(model, u, x0, 700.0, 2000).states[-1, 0]
+        assert final == pytest.approx(stepped_recurrence(model, u[:, None], x0, 700.0, 2000)[-1, 0], rel=1e-12)
+        assert final == pytest.approx(9.4995e303, rel=1e-4)
 
     def test_equilibrium_stays_put(self):
         model = osc_model(0.5, 1.0)
