@@ -21,8 +21,14 @@ import numpy as np
 from .energy import synthesize_min_energy_control, verify_control
 from .entropy import info_entropy_report, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
-from .gramian import finite_horizon_gramian, gramian_spectrum, oscillator_gramian_closed_form
-from .lti import OscillatorParams, _require_positive, make_oscillator
+from .gramian import (
+    GramianResult,
+    _finite_horizon_gramians,
+    finite_horizon_gramian,
+    gramian_spectrum,
+    oscillator_gramian_closed_form,
+)
+from .lti import OscillatorParams, StateSpaceModel, _require_positive, make_oscillator
 
 SCHEMA_VERSION = 1
 
@@ -92,18 +98,13 @@ def _params_from_args(args: argparse.Namespace) -> OscillatorParams:
 
 
 def _analysis_record(
-    params: OscillatorParams, horizon_seconds: float | None, c: float, k_b: float
+    params: OscillatorParams, model: StateSpaceModel, gram: GramianResult, c: float, k_b: float
 ) -> dict:
-    """One analysis result as a flat dict; horizon_seconds None means infinite.
+    """One analysis result as a flat dict.
 
     The duality/entropy chain always derives from the determinant of the
     reported Gramian.
     """
-    model = make_oscillator(params)
-    if horizon_seconds is None:
-        gram = oscillator_gramian_closed_form(params)
-    else:
-        gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
     chain = info_entropy_report(gram, c, k_b)
     spectrum = gramian_spectrum(gram)
     return {
@@ -185,7 +186,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.T is not None:
             raise ValueError("--T is only valid with --horizon finite")
         horizon_seconds = None
-    record = _analysis_record(params, horizon_seconds, args.duality_c, args.kb)
+    model = make_oscillator(params)
+    if horizon_seconds is None:
+        gram = oscillator_gramian_closed_form(params)
+    else:
+        gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
+    record = _analysis_record(params, model, gram, args.duality_c, args.kb)
     if args.format == "json":
         text = json.dumps(record, indent=2)
     elif args.format == "csv":
@@ -218,14 +224,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         horizons = [None]
 
+    # Deterministic order: zeta outer, omega_n middle, T inner.  Every model is
+    # built first so that all finite rows share one stacked Gramian kernel
+    # call; a model that cannot be built is reported after the rows before
+    # it, and a row whose Gramian fails raises when it is reached, so the
+    # first failure in table order is the one reported.
+    models, failure = [], None
+    try:
+        for zeta in zetas:
+            for omega_n in omegas:
+                params = OscillatorParams(zeta=zeta, omega_n=omega_n)
+                models.append((params, make_oscillator(params)))
+    except (ValueError, ArithmeticError) as exc:
+        failure = exc
+    rows = [(params, model, T) for params, model in models for T in horizons]
+    if args.T_grid is None:
+        grams = (oscillator_gramian_closed_form(params) for params, _, _ in rows)
+    else:
+        grams = _finite_horizon_gramians([row[1] for row in rows], [row[2] for row in rows])
     lines = [",".join(CSV_COLUMNS)]
-    # Deterministic order: zeta outer, omega_n middle, T inner.
-    for zeta in zetas:
-        for omega_n in omegas:
-            params = OscillatorParams(zeta=zeta, omega_n=omega_n)
-            for horizon_seconds in horizons:
-                record = _analysis_record(params, horizon_seconds, args.duality_c, args.kb)
-                lines.append(_record_to_csv_row(record))
+    for (params, model, _), gram in zip(rows, grams):
+        record = _analysis_record(params, model, gram, args.duality_c, args.kb)
+        lines.append(_record_to_csv_row(record))
+    if failure is not None:
+        raise failure
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,11 @@ from .errors import NonHurwitzError, QuadratureConvergenceError
 from .lti import (
     OscillatorParams,
     StateSpaceModel,
+    _expm_stack,
+    _norm1,
     _readonly,
     _require_nonnegative,
     _require_square,
-    expm_scaling_squaring,
     matrix_exponential,
 )
 
@@ -102,35 +104,94 @@ class GramianResult:
         return self.matrix.shape[0]
 
 
-def _augmented_expm_gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarray:
-    """Gramian over [0, T] from the block-matrix exponential.
+def _balancing_exponents(A: np.ndarray) -> np.ndarray:
+    """Exponents e (k, n) such that D = diag(2**e) balances each matrix of A.
 
-    One exponential of [[-A, B B^T], [0, A^T]] at a base step gives the
-    Gramian there (transposed lower-right block times upper-right block);
-    interval doubling W <- W + Phi W Phi^T, Phi <- Phi^2 then reaches T.
-    Doubling keeps the -A block from amplifying roundoff exponentially on
-    long horizons, where the one-shot evaluation loses all precision.
+    Osborne's iteration (Parlett & Reinsch, Numer. Math. 13, 1969) in radix
+    2 scales index i by about sqrt(r_i / c_i), the ratio of its off-diagonal
+    row and column 1-norms.  Here every index of every matrix moves at once,
+    by 2**(E >> 2) where r_i / c_i = m * 2**E with 1/2 <= m < 1: about half
+    of Osborne's step, because indices that move together overshoot with the
+    full step (for n = 2 it swaps the two off-diagonal magnitudes).
+    Iterations stop when no index moves, with every ratio in [1/2, 8); a
+    2 x 2 matrix needs one move, which leaves both ratios in [1/2, 2).  D = I
+    when every ratio is already within [1/2, 2), and D^-1 A D is formed
+    without rounding.
     """
-    n = A.shape[0]
-    doublings = 0
-    norm = float(np.linalg.norm(A, 1))
-    while norm * T / (2.0 ** doublings) > 1.0:
-        doublings += 1
-    h = T / (2.0 ** doublings)
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = -A
-    M[:n, n:] = B @ B.T
-    M[n:, n:] = A.T
+    k, n, _ = A.shape
+    off = np.abs(A)
+    off.reshape(k, -1)[:, :: n + 1] = 0.0
+    e = np.zeros((k, n), dtype=np.int32)
+    # A zero row or column norm gives a ratio of 0, inf or NaN, whose frexp
+    # exponent 0 leaves that index alone.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(64):
+            step = np.frexp(np.add.reduce(off, 2) / np.add.reduce(off, 1))[1] >> 2
+            if not np.count_nonzero(step):
+                break
+            e += step
+            off = np.ldexp(off, step[:, None, :] - step[:, :, None])
+    return e
+
+
+def _augmented_expm_gramian(
+    A: np.ndarray, B: np.ndarray, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gramians over [0, T_i] of a stack of systems from block-matrix exponentials.
+
+    A is (k, n, n), B (k, n, m) and T (k,).  Returns W (k, n, n) and a
+    boolean (k,) marking the rows whose Gramian left the double range: an
+    entry overflowed, or a nonzero entry underflowed to 0.
+
+    Each system is first balanced, A_s = D^-1 A D and B_s = D^-1 B with D a
+    power of two per state, and W = D W_s D.  One exponential of
+    [[-A_s h, 2**-c Q h], [0, A_s^T h]], Q = B_s B_s^T, at a base step
+    h = T / 2**d with ||A_s h||_1 < 2 gives W' = 2**-c W_s(h) (transposed
+    lower-right block times upper-right block); interval doubling
+    W' <- W' + Phi W' Phi^T, Phi <- Phi^2 then reaches T.
+
+    - Doubling keeps the -A block from amplifying roundoff exponentially on
+      long horizons, where the one-shot evaluation loses all precision.
+    - Balancing keeps the base step on the time scale of the dynamics when
+      the entries of A span many orders of magnitude.
+    - The power of two 2**-c brings ||2**-c Q h||_1 into [1/4, 1), so the Q
+      block cannot force squarings: a large Q h would otherwise scale the
+      A_s blocks far below unit roundoff before squaring them back.
+
+    Rows are doubled in order of decreasing d, so the rows still doubling
+    form a leading slice.
+    """
+    k, n, _ = A.shape
+    e = _balancing_exponents(A)
+    row, col = e[:, :, None], e[:, None, :]
+    M = np.zeros((k, 2 * n, 2 * n))
     with np.errstate(over="raise", invalid="raise"):
-        F = expm_scaling_squaring(M * h).matrix
-        W = F[n:, n:].T @ F[:n, n:]
-        W = 0.5 * (W + W.T)
-        phi = F[n:, n:].T
-        for _ in range(doublings):
-            W = W + phi @ W @ phi.T
-            W = 0.5 * (W + W.T)
-            phi = phi @ phi
-    return W
+        A = np.ldexp(A, col - row)
+        B = np.ldexp(B, -row)
+        Q = B @ B.swapaxes(1, 2)
+        # frexp(x) = (m, E) with x = m * 2**E, 1/2 <= m < 1.
+        d = np.maximum(np.frexp(_norm1(A) * T)[1] - 1, 0)
+        h = np.ldexp(T, -d)
+        c = np.frexp(_norm1(Q))[1] + np.frexp(h)[1]
+        M[:, :n, :n] = -A
+        M[:, :n, n:] = np.ldexp(Q, -c[:, None, None])
+        M[:, n:, n:] = A.swapaxes(1, 2)
+        M *= h[:, None, None]
+    order = (-d).argsort(kind="stable")
+    M, d = M[order], d[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = _expm_stack(M)[0]
+        phi = F[:, n:, n:].swapaxes(1, 2)
+        W = phi @ F[:, :n, n:]
+        for active in (-d).searchsorted(-np.arange(d[0])).tolist():
+            w, p = W[:active], phi[:active]
+            w += p @ w @ p.swapaxes(1, 2)
+            np.matmul(p, p, out=p)
+        W = W[order.argsort()]
+        W = 0.5 * (W + W.swapaxes(1, 2))
+        scaled = np.ldexp(W, row + col + c[:, None, None])  # D (2**c W') D
+    kept = np.isfinite(scaled) & ((scaled != 0.0) | (W == 0.0))
+    return scaled, ~np.logical_and.reduce(kept, axis=(1, 2))
 
 
 def _adaptive_simpson_gramian(
@@ -175,6 +236,29 @@ def _adaptive_simpson_gramian(
     return total
 
 
+def _finite_horizon_gramians(
+    models: Sequence[StateSpaceModel], horizons: Sequence[float]
+) -> Iterator[GramianResult]:
+    """Augmented-expm Gramians of (model, T) rows from one stacked kernel call.
+
+    The models must share their shapes.  Results come in row order; a row
+    whose Gramian leaves the double range raises ``ArithmeticError`` when it
+    is reached, after the rows before it.
+    """
+    T = [_require_nonnegative("T", t) for t in horizons]
+    A = np.array([model.A for model in models])
+    B = np.array([model.B for model in models])
+    W, lost = _augmented_expm_gramian(A, B, np.array(T))
+    for row, seconds, failed in zip(W, T, lost.tolist()):
+        yield _augmented_expm_result(row, seconds, failed)
+
+
+def _augmented_expm_result(W: np.ndarray, T: float, lost: bool) -> GramianResult:
+    if lost:
+        raise ArithmeticError(f"the Gramian over [0, {T}] leaves the double range")
+    return GramianResult(matrix=W, horizon=Horizon.finite(T), method="augmented_expm")
+
+
 def finite_horizon_gramian(
     model: StateSpaceModel, T: float, method: str = "augmented_expm"
 ) -> GramianResult:
@@ -186,23 +270,27 @@ def finite_horizon_gramian(
     T : float
         Horizon in seconds, >= 0.  T = 0 yields the zero matrix.
     method : {"augmented_expm", "quadrature"}
-        ``augmented_expm`` integrates through the block-matrix exponential;
-        ``quadrature`` runs adaptive Simpson with absolute per-entry
-        tolerance ``QUADRATURE_TOL``.  The two agree to relative 1e-8 in
-        Frobenius norm.
+        ``augmented_expm`` integrates through the balanced block-matrix
+        exponential (the k = 1 call of the stacked kernel); ``quadrature``
+        runs adaptive Simpson with absolute per-entry tolerance
+        ``QUADRATURE_TOL``.  The two agree to relative 1e-8 in Frobenius
+        norm.
 
     Raises
     ------
+    ArithmeticError
+        If the ``augmented_expm`` Gramian leaves the double range.
     QuadratureConvergenceError
         If adaptive Simpson does not converge within the panel cap.
     """
     T = _require_nonnegative("T", T)
     if method not in ("augmented_expm", "quadrature"):
         raise ValueError(f"method must be 'augmented_expm' or 'quadrature', got {method!r}")
+    if method == "augmented_expm":
+        W, lost = _augmented_expm_gramian(model.A[None], model.B[None], np.array([T]))
+        return _augmented_expm_result(W[0], T, lost[0])
     if T == 0.0:
         W = np.zeros((model.n, model.n))
-    elif method == "augmented_expm":
-        W = _augmented_expm_gramian(model.A, model.B, T)
     else:
         W = _adaptive_simpson_gramian(
             model.A, model.B, T, QUADRATURE_TOL, QUADRATURE_PANEL_CAP

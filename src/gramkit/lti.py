@@ -240,13 +240,64 @@ class ExpmResult(NamedTuple):
     squarings: int
 
 
-def expm_scaling_squaring(M: np.ndarray) -> ExpmResult:
-    """exp(M) by truncated Taylor series with scaling and squaring.
+# Padé-13 (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005): with numerator
+# coefficients b_0..b_13, U = X (X6 C0 + C1) and V = X6 C2 + C3, where row j
+# of _PADE13_EVEN holds the coefficients of (X6, X4, X2, I) in C_j.  _THETA13
+# is the 1-norm up to which exp(X) = (V - U)^-1 (V + U) to unit roundoff.
+_PADE13_EVEN = np.array([
+    [1.0, 16380.0, 40840800.0, 0.0],
+    [33522128640.0, 10559470521600.0, 1187353796428800.0, 32382376266240000.0],
+    [182.0, 960960.0, 1323241920.0, 0.0],
+    [670442572800.0, 129060195264000.0, 7771770303897600.0, 64764752532480000.0],
+])
+_THETA13 = 5.371920351148152
 
-    The matrix is scaled by a power of two so its 1-norm is at most 0.5, the
-    series is summed to convergence at working precision, and the result is
-    squared back up.  Self-contained on purpose: this is the reference path
-    the regime closed forms are checked against.
+
+def _norm1(M: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of each matrix in a stack."""
+    return np.maximum.reduce(np.add.reduce(np.abs(M), 1), 1)
+
+
+def _expm_stack(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp of every matrix in a finite (k, N, N) stack, and each row's squarings.
+
+    Padé-13 scaling and squaring: row i is scaled by 2**-s_i, s_i the fewest
+    squarings that bring its 1-norm below theta_13, so every row runs the
+    same fixed sequence of products and one solve.  The approximant is
+    formed as R = I + (V - U)^-1 2U, which is exactly I when the row is
+    zero.  Rows are then squared in order of decreasing s_i, so the rows
+    still squaring form a leading slice.
+    """
+    # frexp's exponent E of norm / theta_13 = m * 2**E, 1/2 <= m < 1.
+    s = np.maximum(np.frexp(_norm1(M) / _THETA13)[1], 0)
+    k, N, _ = M.shape
+    X = np.ldexp(M, -s[:, None, None])
+    powers = np.empty((k, 4, N, N))  # X6, X4, X2, I of each row
+    np.matmul(X, X, out=powers[:, 2])
+    np.matmul(powers[:, 2], powers[:, 2], out=powers[:, 1])
+    np.matmul(powers[:, 1], powers[:, 2], out=powers[:, 0])
+    powers[:, 3] = np.eye(N)
+    C = (_PADE13_EVEN @ powers.reshape(k, 4, N * N)).reshape(k, 4, N, N)
+    U = X @ (powers[:, 0] @ C[:, 0] + C[:, 1])
+    V = powers[:, 0] @ C[:, 2] + C[:, 3]
+    R = powers[:, 3] + np.linalg.solve(V - U, U + U)
+    if np.count_nonzero(s):
+        order = (-s).argsort(kind="stable")
+        squared = R[order]
+        for active in (-s[order]).searchsorted(-np.arange(s.max())).tolist():
+            np.matmul(squared[:active], squared[:active], out=squared[:active])
+        R[order] = squared
+    return R, s
+
+
+def expm_scaling_squaring(M: np.ndarray) -> ExpmResult:
+    """exp(M) by Padé-13 scaling and squaring (Higham 2005).
+
+    The k = 1 call of the stacked kernel that also evaluates
+    ``matrix_exponential`` on general matrices and the balanced augmented-expm
+    Gramian, which ``sweep`` runs on every finite-horizon row in one pass.
+    Self-contained on purpose: this is the reference path the regime closed
+    forms are checked against.
 
     Parameters
     ----------
@@ -259,22 +310,8 @@ def expm_scaling_squaring(M: np.ndarray) -> ExpmResult:
         ``matrix`` holds exp(M); ``squarings`` the number of squarings used.
     """
     M = _require_square("M", M)
-    n = M.shape[0]
-    norm = float(np.linalg.norm(M, 1))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm / 0.5)))
-    X = M / (2.0 ** squarings)
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ X / k
-        out = out + term
-        if np.abs(term).max() <= np.finfo(float).eps * np.abs(out).max():
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return ExpmResult(matrix=out, squarings=squarings)
+    E, s = _expm_stack(M[None])
+    return ExpmResult(matrix=E[0], squarings=int(s[0]))
 
 
 def _damped_cos_sin(zeta: float, omega_n: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,17 +372,21 @@ def matrix_exponential(A: np.ndarray, t: float | np.ndarray) -> np.ndarray:
 
     ``t`` may be a scalar or an array; the result has shape
     ``t.shape + A.shape``.  Oscillator-shaped matrices take the per-regime
-    closed form; everything else goes through the scaling-and-squaring
-    evaluation, one ``t`` at a time.  The two paths agree to 1e-9
-    elementwise wherever both apply.
+    closed form; everything else goes through one stacked scaling-and-squaring
+    evaluation of every ``A t``.  The two paths agree to 1e-9 elementwise
+    wherever both apply.
     """
     A = _require_square("A", A)
     shape = _oscillator_shape(A)
     if shape is not None:
         return oscillator_expm(shape[0], shape[1], t)
     t = np.asarray(t, dtype=float)
-    out = [expm_scaling_squaring(A * _require_finite_scalar("t", s)).matrix for s in t.ravel()]
-    return np.array(out).reshape(t.shape + A.shape)
+    for bad in t[~np.isfinite(t)]:
+        _require_finite_scalar("t", bad)  # raises on the first non-finite entry
+    M = A * t.reshape(-1, 1, 1)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("M must have finite entries")
+    return _expm_stack(M)[0].reshape(t.shape + A.shape)
 
 
 def _rk4_affine_step(model: StateSpaceModel, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

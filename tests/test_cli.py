@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from gramkit import cli
 
 ANALYZE_KEYS = {
     "schema_version",
@@ -50,6 +54,13 @@ def run_cli(*args):
         text=True,
         env=env,
     )
+
+
+def run_in_process(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestAnalyze:
@@ -170,8 +181,8 @@ class TestAnalyze:
             ["--zeta", "1e-320", "--omega-n", "1"],
             # The Gramian entries are finite but their product is not.
             ["--zeta", "5e-324", "--omega-n", "8.67e15"],
-            # The interval doubling of the finite-horizon Gramian overflows.
-            ["--zeta", "0.5", "--omega-n", "6e16", "--horizon", "finite", "--T", "6e16"],
+            # The finite-horizon Gramian overflows: w11 ~ 1/(4*zeta*omega_n^3) = 5e329.
+            ["--zeta", "0.5", "--omega-n", "1e-110", "--horizon", "finite", "--T", "1e300"],
             # S = k_B * H overflows.
             ["--zeta", "0.5", "--omega-n", "1e-5", "--kb", "1e308"],
             # det(I) = c / det(W) overflows.
@@ -187,6 +198,21 @@ class TestAnalyze:
         assert result.returncode == 3
         assert len(result.stderr.strip().splitlines()) == 1
         assert "numerical range failure" in result.stderr
+
+    @pytest.mark.parametrize("T", [1e-8, 1e-20])
+    def test_small_horizon(self, T):
+        # To first order in T: w11 = T^3/3 (1 - 3 zeta omega_n T / 2) and
+        # det W = T^4/12 (1 - 2 zeta omega_n T); the next terms are O(T^2)
+        # relative.  A whole-matrix stopping rule on the exponential's series
+        # cuts off the O(T^3) block.
+        result = run_cli(
+            "analyze", "--zeta", "0.5", "--omega-n", "1", "--horizon", "finite", "--T", repr(T)
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        w11, det = T**3 / 3.0 * (1.0 - 0.75 * T), T**4 / 12.0 * (1.0 - T)
+        assert report["gramian"][0][0] == pytest.approx(w11, rel=1e-12, abs=0.0)
+        assert report["det_wc"] == pytest.approx(det, rel=1e-12, abs=0.0)
 
 
 class TestSweep:
@@ -245,6 +271,43 @@ class TestSweep:
             assert float(row[8]) == reference["det_wc"]
             assert float(row[16]) == reference["entropy_index"]
             assert float(row[14]) == reference["differential_entropy_nats"]
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_rows_match_analyze(self, finite):
+        # The sweep's stacked pass and analyze's k = 1 call are one path:
+        # every row is byte-identical to analyze --format csv at its point.
+        args = ["--zeta-grid", "0,0.4,1,1.6", "--omega-n-grid", "0.5,3,20"]
+        if finite:
+            args += ["--T-grid", "1e-8,0.5,20,1000"]
+        code, out, _ = run_in_process("sweep", *args)
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == (48 if finite else 12)
+        for row in rows:
+            zeta, omega_n, _, _, seconds = row.split(",")[:5]
+            point = ["analyze", "--zeta", zeta, "--omega-n", omega_n, "--format", "csv"]
+            if finite:
+                point += ["--horizon", "finite", "--T", seconds]
+            code, single, _ = run_in_process(*point)
+            assert code == 0
+            assert single.splitlines() == [header, row]
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            # Row (0.5, 1e-110, 1e300) fails in the Gramian kernel (exit 3).
+            ["--omega-n-grid", "1e-110,1", "--T-grid", "1,1e300"],
+            # Model (0.5, 1e200) overflows when it is built (exit 3).
+            ["--omega-n-grid", "1,1e200", "--T-grid", "1"],
+            ["--omega-n-grid", "1,1e200"],
+        ],
+    )
+    def test_first_failure_in_table_order_is_reported(self, grids):
+        # The first row fails the duality-constant check (exit 2) before the
+        # later numerical failure is reached, so its error is the one reported.
+        code, out, err = run_in_process("sweep", "--zeta-grid", "0.5", *grids, "--duality-c", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: c must be > 0, got -1.0\n"
 
 
 class TestSynthesize:

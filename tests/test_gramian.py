@@ -205,6 +205,26 @@ class TestFiniteHorizon:
         with pytest.raises(ValueError, match="method"):
             finite_horizon_gramian(osc_model(0.5, 1.0), 1.0, method="euler")
 
+    def test_stacked_rows_equal_single_calls(self):
+        # One stacked kernel call over rows with different balancing, doubling
+        # counts and horizons gives each row bit for bit as its k = 1 call.
+        models = [osc_model(z, w) for z in (0.0, 0.3, 1.0, 2.5) for w in (0.4, 1.0, 7.0)]
+        horizons = [0.0, 1e-8, 0.5, 3.0, 40.0, 1000.0]
+        rows = [(m, T) for m in models for T in horizons]
+        stacked = list(gramian_mod._finite_horizon_gramians([m for m, _ in rows], [T for _, T in rows]))
+        for (model, T), gram in zip(rows, stacked):
+            single = finite_horizon_gramian(model, T)
+            assert np.array_equal(gram.matrix, single.matrix), (model.A, T)
+            assert gram.horizon == single.horizon and gram.method == single.method
+
+    def test_stacked_failure_is_raised_at_its_row(self):
+        # Rows before an out-of-range row are still produced.
+        models = [osc_model(0.5, 1.0), osc_model(0.5, 1e-110), osc_model(0.5, 1.0)]
+        rows = gramian_mod._finite_horizon_gramians(models, [2.0, 1e300, 2.0])
+        assert np.array_equal(next(rows).matrix, finite_horizon_gramian(models[0], 2.0).matrix)
+        with pytest.raises(ArithmeticError, match="double range"):
+            next(rows)
+
     def test_quadrature_panel_cap(self, monkeypatch):
         monkeypatch.setattr(gramian_mod, "QUADRATURE_PANEL_CAP", 8)
         with pytest.raises(QuadratureConvergenceError, match="panels"):
@@ -339,8 +359,39 @@ class TestRangeFailures:
         assert gramian_determinant(singular) == 0.0
 
     def test_doubling_overflow(self):
+        # w11 ~ 1/(4 zeta omega_n^3) = 5e329 is out of range: the kernel must
+        # refuse rather than return a zero or non-finite Gramian.
         with pytest.raises(ArithmeticError):
-            finite_horizon_gramian(osc_model(0.5, 6e16), 6e16)
+            finite_horizon_gramian(osc_model(0.5, 1e-110), 1e300)
+
+    def test_large_omega_matches_infinite_limit(self):
+        # W_inf = diag(2.31e-51, 8.33e-18) is representable; only balancing
+        # keeps the base step on the 1/omega_n time scale of the dynamics.
+        w = finite_horizon_gramian(osc_model(0.5, 6e16), 6e16).matrix
+        w_inf = analytic_infinite(0.5, 6e16)
+        np.testing.assert_allclose(np.diag(w), np.diag(w_inf), rtol=1e-14)
+        assert abs(w[0, 1]) <= 1e-14 * w_inf.max()
+
+    @pytest.mark.parametrize("omega_n", [1e-150, 1e-110, 1e-50, 1e-5, 6e16, 1e150])
+    def test_extreme_omega_emits_no_warning(self, omega_n):
+        # Balancing and range checks run without a numpy warning at either end
+        # of the omega_n range: each horizon gives a Gramian or a refusal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for T in (1e-3 / omega_n, 1.0, 1e3 / omega_n):
+                try:
+                    w = finite_horizon_gramian(osc_model(0.5, omega_n), T).matrix
+                except ArithmeticError:
+                    continue
+                assert np.all(np.isfinite(w)) and np.all(np.diag(w) > 0.0)
+
+    def test_balancing_skips_zero_norms(self):
+        # A zero row or column norm has no balancing scale; it must neither
+        # warn nor move the index.
+        stack = np.stack([np.zeros((3, 3)), 1e300 * np.triu(np.ones((3, 3)))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not gramian_mod._balancing_exponents(stack).any()
 
 
 class TestLevelSynchronousSimpson:

@@ -17,6 +17,7 @@ from gramkit.lti import (
     matrix_exponential,
     oscillator_expm,
     simulate,
+    _expm_stack,
     _rk4_affine_step,
 )
 
@@ -216,6 +217,24 @@ class TestMatrixExponential:
             np.testing.assert_allclose(
                 expm_scaling_squaring(A).matrix, scipy.linalg.expm(A), atol=1e-10, rtol=1e-10
             )
+
+    def test_stack_with_mixed_squaring_counts_matches_scipy(self):
+        # Zero, tiny, moderate and large-norm rows share one call, so rows
+        # with 0, 1, 3 and 6 squarings are squared side by side.
+        rng = np.random.default_rng(3)
+        rows = [np.zeros((3, 3)), 1e-300 * rng.normal(size=(3, 3)), 1e-9 * rng.normal(size=(3, 3))]
+        rows.append(rng.normal(size=(3, 3)))
+        S = rng.normal(size=(3, 3))
+        rows.append(8.0 * (S - S.T) / np.abs(S - S.T).sum(axis=0).max())
+        for scale in (8.0, 40.0, 300.0):
+            G = rng.normal(size=(3, 3))
+            rows.append(-scale * (G @ G.T) / np.abs(G @ G.T).sum(axis=0).max())
+        E, squarings = _expm_stack(np.array(rows))
+        assert set(squarings.tolist()) == {0, 1, 3, 6}
+        for M, got in zip(rows, E):
+            ref = scipy.linalg.expm(M)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(E[0], np.eye(3))
 
     def test_semigroup_inverse_determinant(self):
         # Parameter box keeps kappa(exp(A t)) ~ exp(2*mu*|t|) small enough
