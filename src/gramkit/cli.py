@@ -107,6 +107,11 @@ def _analysis_record(
     """
     chain = info_entropy_report(gram, c, k_b)
     spectrum = gramian_spectrum(gram)
+    if spectrum.condition_number == math.inf:
+        raise ArithmeticError(
+            "condition number of the Gramian is not finite "
+            f"(eigenvalues {spectrum.eigenvalues.tolist()})"
+        )
     return {
         "schema_version": SCHEMA_VERSION,
         "zeta": params.zeta,

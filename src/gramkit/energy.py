@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGramianError
-from .gramian import SPD_RATIO_FLOOR, GramianResult, finite_horizon_gramian
+from .gramian import GramianResult, finite_horizon_gramian, gramian_spectrum
 from .lti import (
     StateSpaceModel,
     _readonly,
@@ -76,26 +76,28 @@ class EnergyVerificationReport:
         object.__setattr__(self, "achieved_final_state", _readonly(self.achieved_final_state))
 
 
-def _spd_solve(W: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve W x = rhs for symmetric positive definite W via Cholesky.
+def _energy_solve(g: GramianResult, x_f: np.ndarray) -> tuple[np.ndarray, float]:
+    """W^{-1} x_f by Cholesky, and the energy x_f^T W^{-1} x_f.
 
-    Raises SingularGramianError when W is not numerically positive definite
-    (eigenvalue ratio at most SPD_RATIO_FLOOR, or a failed factorization).
-    No pseudo-inverse fallback: silent regularization would corrupt the
-    energy semantics.
+    Raises SingularGramianError when ``gramian_spectrum`` flags an
+    uncontrollable direction or the factorization fails; no pseudo-inverse
+    fallback, since silent regularization would corrupt the energy
+    semantics.  An overflow raises ``FloatingPointError``.
     """
-    eigenvalues = np.linalg.eigvalsh(W)
-    if eigenvalues[0] <= SPD_RATIO_FLOOR * eigenvalues[-1]:
+    spectrum = gramian_spectrum(g)
+    if spectrum.uncontrollable_direction:
+        eigenvalues = spectrum.eigenvalues
         raise SingularGramianError(
             f"Gramian is numerically singular (eigenvalues {eigenvalues[0]:.3e} "
             f".. {eigenvalues[-1]:.3e}); an uncontrollable direction is present"
         )
     try:
-        L = np.linalg.cholesky(W)
+        L = np.linalg.cholesky(g.matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularGramianError(f"Cholesky factorization failed: {exc}") from exc
-    y = np.linalg.solve(L, rhs)
-    return np.linalg.solve(L.T, y)
+    with np.errstate(over="raise", invalid="raise"):
+        p = np.linalg.solve(L.T, np.linalg.solve(L, x_f))
+        return p, max(float(x_f @ p), 0.0)
 
 
 def _require_target(x_f: np.ndarray, n: int) -> np.ndarray:
@@ -110,13 +112,11 @@ def _require_target(x_f: np.ndarray, n: int) -> np.ndarray:
 def min_control_energy(g: GramianResult, x_f: np.ndarray) -> float:
     """Minimum energy x_f^T W^{-1} x_f to reach x_f from the origin.
 
-    Computed through a symmetric factorization solve, never an explicit
-    inverse.  Raises SingularGramianError when the Gramian is not
-    numerically positive definite.
+    Computed through a Cholesky solve, never an explicit inverse.  Raises
+    SingularGramianError when the Gramian is not numerically positive
+    definite, and ``ArithmeticError`` when the energy overflows.
     """
-    x_f = _require_target(x_f, g.n)
-    energy = float(x_f @ _spd_solve(g.matrix, x_f))
-    return max(energy, 0.0)
+    return _energy_solve(g, _require_target(x_f, g.n))[1]
 
 
 def synthesize_min_energy_control(
@@ -151,11 +151,9 @@ def synthesize_min_energy_control(
         raise ValueError(f"steps must be >= 100, got {steps}")
     x_f = _require_target(x_f, model.n)
 
-    gram = finite_horizon_gramian(model, T, method="augmented_expm")
+    p, predicted = _energy_solve(finite_horizon_gramian(model, T), x_f)
     times = np.linspace(0.0, T, steps + 1)
     with np.errstate(over="raise", invalid="raise"):
-        p = _spd_solve(gram.matrix, x_f)
-        predicted = max(float(x_f @ p), 0.0)
         values = (matrix_exponential(model.A, T - times).swapaxes(1, 2) @ p) @ model.B
     return ControlProfile(times=times, values=values, target=x_f, predicted_energy=predicted)
 

@@ -82,9 +82,10 @@ class Horizon:
 class GramianResult:
     """A controllability Gramian with its horizon and computation method.
 
-    The matrix is symmetrized on construction.  ``residual`` holds the
-    Frobenius norm of A W + W A^T + B B^T when the Lyapunov path produced
-    the result.
+    The matrix is symmetrized on construction, as 0.5 W + 0.5 W^T, which
+    cannot overflow and keeps a symmetric matrix's normal entries bit for
+    bit.  ``residual`` holds the Frobenius norm of A W + W A^T + B B^T when
+    the Lyapunov path produced the result.
     """
 
     matrix: np.ndarray
@@ -96,7 +97,7 @@ class GramianResult:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         W = _require_square("Gramian", self.matrix)
-        W = 0.5 * (W + W.T)
+        W = 0.5 * W + 0.5 * W.T
         object.__setattr__(self, "matrix", _readonly(W))
 
     @property
@@ -139,9 +140,10 @@ def _augmented_expm_gramian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gramians over [0, T_i] of a stack of systems from block-matrix exponentials.
 
-    A is (k, n, n), B (k, n, m) and T (k,).  Returns W (k, n, n) and a
-    boolean (k,) marking the rows whose Gramian left the double range: an
-    entry overflowed, or a nonzero entry underflowed to 0.
+    A is (k, n, n), B (k, n, m) and T (k,).  Returns W (k, n, n), which
+    ``GramianResult`` symmetrizes, and a boolean (k,) marking the rows whose
+    Gramian left the double range: an entry overflowed, or a nonzero entry
+    underflowed to 0.
 
     Each system is first balanced, A_s = D^-1 A D and B_s = D^-1 B with D a
     power of two per state, and W = D W_s D.  One exponential of
@@ -188,7 +190,6 @@ def _augmented_expm_gramian(
             w += p @ w @ p.swapaxes(1, 2)
             np.matmul(p, p, out=p)
         W = W[order.argsort()]
-        W = 0.5 * (W + W.swapaxes(1, 2))
         scaled = np.ldexp(W, row + col + c[:, None, None])  # D (2**c W') D
     kept = np.isfinite(scaled) & ((scaled != 0.0) | (W == 0.0))
     return scaled, ~np.logical_and.reduce(kept, axis=(1, 2))
@@ -250,13 +251,9 @@ def _finite_horizon_gramians(
     B = np.array([model.B for model in models])
     W, lost = _augmented_expm_gramian(A, B, np.array(T))
     for row, seconds, failed in zip(W, T, lost.tolist()):
-        yield _augmented_expm_result(row, seconds, failed)
-
-
-def _augmented_expm_result(W: np.ndarray, T: float, lost: bool) -> GramianResult:
-    if lost:
-        raise ArithmeticError(f"the Gramian over [0, {T}] leaves the double range")
-    return GramianResult(matrix=W, horizon=Horizon.finite(T), method="augmented_expm")
+        if failed:
+            raise ArithmeticError(f"the Gramian over [0, {seconds}] leaves the double range")
+        yield GramianResult(matrix=row, horizon=Horizon.finite(seconds), method="augmented_expm")
 
 
 def finite_horizon_gramian(
@@ -287,14 +284,8 @@ def finite_horizon_gramian(
     if method not in ("augmented_expm", "quadrature"):
         raise ValueError(f"method must be 'augmented_expm' or 'quadrature', got {method!r}")
     if method == "augmented_expm":
-        W, lost = _augmented_expm_gramian(model.A[None], model.B[None], np.array([T]))
-        return _augmented_expm_result(W[0], T, lost[0])
-    if T == 0.0:
-        W = np.zeros((model.n, model.n))
-    else:
-        W = _adaptive_simpson_gramian(
-            model.A, model.B, T, QUADRATURE_TOL, QUADRATURE_PANEL_CAP
-        )
+        return next(_finite_horizon_gramians([model], [T]))
+    W = _adaptive_simpson_gramian(model.A, model.B, T, QUADRATURE_TOL, QUADRATURE_PANEL_CAP)
     return GramianResult(matrix=W, horizon=Horizon.finite(T), method=method)
 
 
@@ -348,15 +339,18 @@ def oscillator_gramian_closed_form(params: OscillatorParams) -> GramianResult:
     For zeta = 0 the defining integral diverges; the conventional matrix
     diag(1/omega_n^2, 1) is returned under the distinct
     ``paper_adopted_undamped`` horizon tag so callers opt in knowingly.
+    Raises ``OverflowError`` when an entry is not a positive double.
     """
     wn, z = params.omega_n, params.zeta
-    if z > 0.0:
-        diagonal = [1.0 / (4.0 * z * wn ** 3), 1.0 / (4.0 * z * wn)]
-        horizon = Horizon.infinite()
-    else:
-        diagonal = [1.0 / (wn * wn), 1.0]
-        horizon = Horizon.adopted_undamped()
-    if not all(map(math.isfinite, diagonal)):
+    horizon = Horizon.infinite() if z > 0.0 else Horizon.adopted_undamped()
+    try:
+        if z > 0.0:
+            diagonal = [1.0 / (4.0 * z * wn ** 3), 1.0 / (4.0 * z * wn)]
+        else:
+            diagonal = [1.0 / (wn * wn), 1.0]
+    except ArithmeticError:  # wn ** 3 overflows, or a denominator underflows to 0
+        diagonal = [math.inf]
+    if not all(0.0 < d < math.inf for d in diagonal):
         raise OverflowError(f"closed-form Gramian overflows at zeta={z}, omega_n={wn}")
     return GramianResult(matrix=np.diag(diagonal), horizon=horizon, method="closed_form")
 

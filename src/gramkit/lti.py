@@ -14,6 +14,7 @@ between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -91,12 +92,37 @@ def classify_regime(zeta: float) -> DampingRegime:
     return DampingRegime.OVERDAMPED
 
 
-def _physical_triple(mass: float, damping: float, stiffness: float) -> tuple[float, float, float]:
-    return (
-        _require_positive("mass", mass),
-        _require_nonnegative("damping", damping),
-        _require_positive("stiffness", stiffness),
-    )
+def _physical_derivation(
+    mass: float, damping: float, stiffness: float
+) -> tuple[float, float, float, float, float]:
+    """Validated (m, c, k) with zeta = c / (2*sqrt(m*k)) and omega_n = sqrt(k/m).
+
+    Where m*k and k/m are normal doubles the formulas are evaluated as
+    written; otherwise the powers of two of m and k go through the square
+    roots separately, so no intermediate under- or overflows.  Raises
+    ``OverflowError`` when zeta or omega_n itself overflows, or zeta
+    underflows to 0 with c > 0.
+    """
+    m = _require_positive("mass", mass)
+    c = _require_nonnegative("damping", damping)
+    k = _require_positive("stiffness", stiffness)
+    product, ratio = m * k, k / m
+    if sys.float_info.min <= min(product, ratio) and max(product, ratio) < math.inf:
+        zeta, omega_n = c / (2.0 * math.sqrt(product)), math.sqrt(ratio)
+    else:
+        # x = fx * 2**ex with 1/2 <= fx < 1; m*k = (fm*fk * 2**r) * 4**p and
+        # k/m = (fk/fm * 2**s) * 4**q with r, s in {0, 1}.
+        (fm, em), (fc, ec), (fk, ek) = math.frexp(m), math.frexp(c), math.frexp(k)
+        p, r = divmod(em + ek, 2)
+        q, s = divmod(ek - em, 2)
+        try:
+            omega_n = math.ldexp(math.sqrt(math.ldexp(fk / fm, s)), q)
+            zeta = math.ldexp(fc / (2.0 * math.sqrt(math.ldexp(fm * fk, r))), ec - p)
+        except OverflowError:
+            zeta = omega_n = math.inf
+    if math.inf in (zeta, omega_n) or (zeta == 0.0 and c > 0.0):
+        raise OverflowError(f"zeta or omega_n leaves the double range at m={m}, c={c}, k={k}")
+    return m, c, k, zeta, omega_n
 
 
 @dataclass(frozen=True)
@@ -126,9 +152,9 @@ class OscillatorParams:
         if any(v is not None for v in physical):
             if any(v is None for v in physical):
                 raise ValueError("mass, damping, and stiffness must be given together")
-            m, c, k = _physical_triple(self.mass, self.damping, self.stiffness)
-            zeta_drv = c / (2.0 * math.sqrt(m * k))
-            omega_drv = math.sqrt(k / m)
+            m, c, k, zeta_drv, omega_drv = _physical_derivation(
+                self.mass, self.damping, self.stiffness
+            )
             if not math.isclose(zeta_drv, zeta, rel_tol=1e-12, abs_tol=1e-12):
                 raise ValueError(
                     f"zeta {zeta} inconsistent with physical triple (derived {zeta_drv})"
@@ -144,14 +170,8 @@ class OscillatorParams:
     @classmethod
     def from_physical(cls, mass: float, damping: float, stiffness: float) -> "OscillatorParams":
         """Build from the physical triple (m, c, k)."""
-        m, c, k = _physical_triple(mass, damping, stiffness)
-        return cls(
-            zeta=c / (2.0 * math.sqrt(m * k)),
-            omega_n=math.sqrt(k / m),
-            mass=m,
-            damping=c,
-            stiffness=k,
-        )
+        m, c, k, zeta, omega_n = _physical_derivation(mass, damping, stiffness)
+        return cls(zeta=zeta, omega_n=omega_n, mass=m, damping=c, stiffness=k)
 
     @property
     def regime(self) -> DampingRegime:

@@ -71,9 +71,9 @@ def test_determinant_law():
             closed = gramian_determinant(
                 oscillator_gramian_closed_form(OscillatorParams(zeta, omega_n))
             )
-            assert closed == pytest.approx(expected, rel=1e-12)
+            assert closed == pytest.approx(expected, rel=1e-12, abs=0.0)
             solved = gramian_determinant(infinite_horizon_gramian_lyapunov(osc_model(zeta, omega_n)))
-            assert solved == pytest.approx(expected, rel=1e-12)
+            assert solved == pytest.approx(expected, rel=1e-12, abs=0.0)
     for omega_n in OMEGA_GRID:
         undamped = oscillator_gramian_closed_form(OscillatorParams(0.0, omega_n))
         assert gramian_determinant(undamped) == 1.0 / (omega_n * omega_n)

@@ -161,15 +161,55 @@ class TestAnalyze:
         assert json.loads(path.read_text())["det_wc"] == 0.015625
 
 
-    @pytest.mark.parametrize("omega_n", ["1e120", "1e-120"])
-    def test_range_failure_is_numerical_failure(self, omega_n):
-        # The closed-form Gramian overflows (1e120) or divides by an
-        # underflowed zero (1e-120): exit 3 with one diagnostic line.
-        result = run_cli("analyze", "--zeta", "0.5", "--omega-n", omega_n)
+    @pytest.mark.parametrize(
+        "zeta, omega_n",
+        [
+            pytest.param("0.5", "1e120", id="1e120"),
+            pytest.param("0.5", "1e-120", id="1e-120"),
+            pytest.param("0.5", "1e-160", id="1e-160"),
+            pytest.param("1e-200", "1e-50", id="zeta1e-200-1e-50"),
+            pytest.param("0", "1e-170", id="undamped-1e-170"),
+        ],
+    )
+    def test_range_failure_is_numerical_failure(self, zeta, omega_n):
+        # The closed-form Gramian overflows (omega_n^3 = 1e360) or divides by
+        # an underflowed zero (4*zeta*omega_n^3, or omega_n^2 when undamped):
+        # exit 3 with one diagnostic line that names the parameters.
+        result = run_cli("analyze", "--zeta", zeta, "--omega-n", omega_n)
         assert result.returncode == 3
         assert len(result.stderr.strip().splitlines()) == 1
         assert "numerical range failure" in result.stderr
+        assert "omega_n" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_finite_entry_overflowing_determinant_is_one_line(self):
+        # w11 = 1/(4*zeta*omega_n^3) = 1.198e308 is finite; symmetrizing it as
+        # 0.5*(W + W^T) overflowed to inf with a RuntimeWarning.
+        result = run_cli("analyze", "--zeta", "0.5", "--omega-n", "1.61e-103")
+        assert result.returncode == 3
+        assert result.stderr.count("\n") == 1
+        assert "determinant overflows" in result.stderr
+        assert "1.19809809116616e+308" in result.stderr
+
+    @pytest.mark.parametrize(
+        "triple, zeta, omega_n, regime",
+        [
+            # m*k overflows: zeta is 5e-201, not 0.
+            (("1e200", "1", "1e200"), 5e-201, 1.0, "underdamped"),
+            # m*k underflows: zeta = 0 and omega_n = 1 are exact.
+            (("1e-200", "0", "1e-200"), 0.0, 1.0, "undamped"),
+        ],
+    )
+    def test_physical_triple_beyond_the_product_range(self, triple, zeta, omega_n, regime):
+        m, c, k = triple
+        result = run_cli(
+            "analyze", "--m", m, "--c", c, "--k", k, "--horizon", "finite", "--T", "1"
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["zeta"] == pytest.approx(zeta, rel=1e-15, abs=0.0)
+        assert report["omega_n"] == omega_n
+        assert report["regime"] == regime
 
     @pytest.mark.parametrize(
         "args",
@@ -191,6 +231,12 @@ class TestAnalyze:
             ["--zeta", "1e300", "--omega-n", "1"],
             # The finite-horizon Gramian's entries underflow, so det(W) = 0.
             ["--zeta", "0.5", "--omega-n", "1", "--horizon", "finite", "--T", "1e-300"],
+            # w11 = 1.79e308 and w22 = 0.5 are finite; lambda_max / lambda_min is not.
+            ["--zeta", "1e132", "--omega-n", "5e-133", "--horizon", "finite", "--T", "1.79e308"],
+            # omega_n = sqrt(k/m) = 1e-300 is representable; its closed-form Gramian is not.
+            ["--m", "1e300", "--c", "1", "--k", "1e-300"],
+            # zeta = c / (2*sqrt(m*k)) = 1e300 / (2 * 1e-150) overflows.
+            ["--m", "1", "--c", "1e300", "--k", "1e-300"],
         ],
     )
     def test_overflow_is_one_line_numerical_failure(self, args):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from gramkit.energy import (
 )
 from gramkit.errors import SingularGramianError
 from gramkit.gramian import (
+    SPD_RATIO_FLOOR,
     GramianResult,
     Horizon,
     finite_horizon_gramian,
+    gramian_spectrum,
     oscillator_gramian_closed_form,
 )
 from gramkit.lti import OscillatorParams, make_oscillator
@@ -40,6 +44,27 @@ class TestMinControlEnergy:
     def test_singular_gramian_rejected(self):
         with pytest.raises(SingularGramianError, match="singular"):
             min_control_energy(diag_gramian(1e-16, 1.0), np.array([1.0, 0.0]))
+
+    def test_refused_exactly_when_spectrum_flags(self):
+        # The SPD floor is decided once, by gramian_spectrum.
+        for lam_max in (1.0, 3.0, 7e-5):
+            floor = SPD_RATIO_FLOOR * lam_max
+            for lam_min in (np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0), 2.0 * floor):
+                g = diag_gramian(lam_min, lam_max)
+                flagged = gramian_spectrum(g).uncontrollable_direction
+                assert flagged == (lam_min <= floor)
+                if flagged:
+                    with pytest.raises(SingularGramianError, match="singular"):
+                        min_control_energy(g, np.array([1.0, 1.0]))
+                else:
+                    assert min_control_energy(g, np.array([1.0, 1.0])) > 0.0
+
+    def test_overflowing_energy_is_a_range_failure(self):
+        g = oscillator_gramian_closed_form(OscillatorParams(0.5, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError):
+                min_control_energy(g, np.array([1e300, 0.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

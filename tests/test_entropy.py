@@ -104,7 +104,9 @@ class TestShannonEntropy:
 class TestThermodynamicEntropy:
     def test_scaling(self):
         assert thermodynamic_entropy(math.log(2.0)) == pytest.approx(0.6931471805599453)
-        assert thermodynamic_entropy(2.0, k_b=BOLTZMANN_SI) == pytest.approx(2 * BOLTZMANN_SI)
+        assert thermodynamic_entropy(2.0, k_b=BOLTZMANN_SI) == pytest.approx(
+            2 * BOLTZMANN_SI, rel=1e-12, abs=0.0
+        )
 
     def test_boltzmann_form(self):
         assert boltzmann_entropy(1.0) == 0.0
@@ -187,7 +189,7 @@ class TestReport:
         report = info_entropy_report(gram, c=2.5, k_b=0.7)
         assert report.n == 3
         reference = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
-        assert report.det_wc == pytest.approx(np.linalg.det(reference), rel=1e-9)
+        assert report.det_wc == pytest.approx(np.linalg.det(reference), rel=1e-9, abs=0.0)
         assert report.det_wc * report.det_i == pytest.approx(2.5, rel=1e-12)
         assert report.differential_entropy_nats == pytest.approx(
             1.5 * LN_2PI_E - 0.5 * math.log(report.det_i), abs=1e-12

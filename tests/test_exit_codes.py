@@ -79,3 +79,18 @@ def test_synthesize(tmp_path_factory, zeta, omega_n, T, xf, steps):
             f"--out={out}",
         ]
     )
+
+
+@contract
+@given(
+    m=finite,
+    c=finite,
+    k=finite,
+    T=st.none() | finite,
+    fmt=st.sampled_from(["json", "csv", "text"]),
+)
+def test_analyze_physical(m, c, k, T, fmt):
+    argv = ["analyze", f"--m={m!r}", f"--c={c!r}", f"--k={k!r}", f"--format={fmt}"]
+    if T is not None:
+        argv += ["--horizon=finite", f"--T={T!r}"]
+    check_contract(argv)

@@ -247,7 +247,7 @@ class TestDeterminant:
             for omega_n in OMEGA_GRID:
                 g = oscillator_gramian_closed_form(OscillatorParams(zeta, omega_n))
                 expected = 1.0 / (16.0 * zeta**2 * omega_n**4)
-                assert gramian_determinant(g) == pytest.approx(expected, rel=1e-12)
+                assert gramian_determinant(g) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_strictly_decreasing_in_parameters(self):
         dets_by_zeta = [
@@ -299,6 +299,22 @@ class TestGramianResult:
         raw = np.array([[1.0, 2e-13], [0.0, 1.0]])
         g = GramianResult(matrix=raw, horizon=Horizon.infinite(), method="lyapunov")
         assert g.matrix[0, 1] == g.matrix[1, 0]
+
+    def test_symmetrization_cannot_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = GramianResult(np.diag([1.5e308, 1.0]), Horizon.infinite(), "closed_form")
+            assert g.matrix[0, 0] == 1.5e308
+            raw = np.array([[1.0, 1.7e308], [1.5e308, 1.0]])
+            g = GramianResult(raw, Horizon.infinite(), "lyapunov")
+            assert g.matrix[0, 1] == g.matrix[1, 0] == 1.6e308
+
+    def test_symmetric_matrix_kept_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        root = rng.standard_normal((5, 5)) * 10.0 ** rng.uniform(-150, 150, size=(5, 1))
+        W = root @ root.T
+        g = GramianResult(W, Horizon.infinite(), "lyapunov")
+        assert np.array_equal(g.matrix, W)
 
     def test_psd_up_to_roundoff_on_grid(self):
         for zeta in ZETA_GRID:

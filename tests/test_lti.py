@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -71,6 +72,48 @@ class TestOscillatorParams:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             OscillatorParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (1e200, 1.0, 1e200),  # m*k overflows
+            (1e-200, 0.0, 1e-200),  # m*k underflows
+            (1e300, 1.0, 1e-300),  # k/m underflows
+            (1e-300, 1.0, 1e300),  # k/m overflows
+            (5e-324, 3e-310, 2.0),  # subnormal m and c
+        ],
+    )
+    def test_physical_triple_beyond_the_product_range(self, triple):
+        # zeta and omega_n to one rounding of a 40-digit evaluation, although
+        # m*k or k/m leaves the normal range; the consistency check in
+        # __post_init__ uses the same derivation.
+        params = OscillatorParams.from_physical(*triple)
+        m, c, k = (mpmath.mpf(v) for v in triple)
+        with mpmath.workdps(40):
+            zeta, omega_n = c / (2 * mpmath.sqrt(m * k)), mpmath.sqrt(k / m)
+        assert params.zeta == pytest.approx(float(zeta), rel=2.3e-16, abs=0.0)
+        assert params.omega_n == pytest.approx(float(omega_n), rel=2.3e-16, abs=0.0)
+        OscillatorParams(params.zeta, params.omega_n, *triple)
+
+    def test_physical_triple_in_the_normal_range_is_the_plain_formula(self):
+        rng = np.random.default_rng(5)
+        for m, c, k in 10.0 ** rng.uniform(-100.0, 100.0, size=(200, 3)):
+            params = OscillatorParams.from_physical(m, c, k)
+            assert params.zeta == c / (2.0 * math.sqrt(m * k))
+            assert params.omega_n == math.sqrt(k / m)
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (1.0, 1e300, 1e-300),  # zeta = 5e449
+            (1e300, 1e-300, 1e300),  # zeta = 5e-601 underflows to 0 with c > 0
+            (5e-324, 1.0, 1.7e308),  # omega_n = 5.9e315
+        ],
+    )
+    def test_physical_triple_out_of_range_names_m_c_k(self, triple):
+        m, c, k = triple
+        with pytest.raises(OverflowError, match=re.escape(f"m={m}, c={c}, k={k}")):
+            OscillatorParams.from_physical(*triple)
 
     def test_partial_physical_triple_rejected(self):
         with pytest.raises(ValueError, match="together"):
