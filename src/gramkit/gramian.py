@@ -82,10 +82,11 @@ class Horizon:
 class GramianResult:
     """A controllability Gramian with its horizon and computation method.
 
-    The matrix is symmetrized on construction, as 0.5 W + 0.5 W^T, which
-    cannot overflow and keeps a symmetric matrix's normal entries bit for
-    bit.  ``residual`` holds the Frobenius norm of A W + W A^T + B B^T when
-    the Lyapunov path produced the result.
+    The matrix is symmetrized on construction: entries that differ from
+    their transpose become 0.5 W + 0.5 W^T, which cannot overflow, and the
+    rest are kept bit for bit at any magnitude.  ``residual`` holds the
+    Frobenius norm of A W + W A^T + B B^T when the Lyapunov path produced
+    the result.
     """
 
     matrix: np.ndarray
@@ -97,7 +98,7 @@ class GramianResult:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         W = _require_square("Gramian", self.matrix)
-        W = 0.5 * W + 0.5 * W.T
+        W = np.where(W == W.T, W, 0.5 * W + 0.5 * W.T)
         object.__setattr__(self, "matrix", _readonly(W))
 
     @property

@@ -14,7 +14,6 @@ between threads.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -97,29 +96,25 @@ def _physical_derivation(
 ) -> tuple[float, float, float, float, float]:
     """Validated (m, c, k) with zeta = c / (2*sqrt(m*k)) and omega_n = sqrt(k/m).
 
-    Where m*k and k/m are normal doubles the formulas are evaluated as
-    written; otherwise the powers of two of m and k go through the square
-    roots separately, so no intermediate under- or overflows.  Raises
-    ``OverflowError`` when zeta or omega_n itself overflows, or zeta
-    underflows to 0 with c > 0.
+    The powers of two of m, c and k go through the square roots separately,
+    so m*k and k/m are never formed and no intermediate under- or overflows;
+    while zeta and omega_n are normal this is bit for bit the formulas as
+    written.  Raises ``OverflowError`` when zeta or omega_n itself
+    overflows, or zeta underflows to 0 with c > 0.
     """
     m = _require_positive("mass", mass)
     c = _require_nonnegative("damping", damping)
     k = _require_positive("stiffness", stiffness)
-    product, ratio = m * k, k / m
-    if sys.float_info.min <= min(product, ratio) and max(product, ratio) < math.inf:
-        zeta, omega_n = c / (2.0 * math.sqrt(product)), math.sqrt(ratio)
-    else:
-        # x = fx * 2**ex with 1/2 <= fx < 1; m*k = (fm*fk * 2**r) * 4**p and
-        # k/m = (fk/fm * 2**s) * 4**q with r, s in {0, 1}.
-        (fm, em), (fc, ec), (fk, ek) = math.frexp(m), math.frexp(c), math.frexp(k)
-        p, r = divmod(em + ek, 2)
-        q, s = divmod(ek - em, 2)
-        try:
-            omega_n = math.ldexp(math.sqrt(math.ldexp(fk / fm, s)), q)
-            zeta = math.ldexp(fc / (2.0 * math.sqrt(math.ldexp(fm * fk, r))), ec - p)
-        except OverflowError:
-            zeta = omega_n = math.inf
+    # x = fx * 2**ex with 1/2 <= fx < 1; m*k = (fm*fk * 2**r) * 4**p and
+    # k/m = (fk/fm * 2**s) * 4**q with r, s in {0, 1}.
+    (fm, em), (fc, ec), (fk, ek) = math.frexp(m), math.frexp(c), math.frexp(k)
+    p, r = divmod(em + ek, 2)
+    q, s = divmod(ek - em, 2)
+    try:
+        omega_n = math.ldexp(math.sqrt(math.ldexp(fk / fm, s)), q)
+        zeta = math.ldexp(fc / (2.0 * math.sqrt(math.ldexp(fm * fk, r))), ec - p)
+    except OverflowError:
+        zeta = omega_n = math.inf
     if math.inf in (zeta, omega_n) or (zeta == 0.0 and c > 0.0):
         raise OverflowError(f"zeta or omega_n leaves the double range at m={m}, c={c}, k={k}")
     return m, c, k, zeta, omega_n

@@ -316,6 +316,11 @@ class TestGramianResult:
         g = GramianResult(W, Horizon.infinite(), "lyapunov")
         assert np.array_equal(g.matrix, W)
 
+    def test_symmetric_subnormal_entries_kept(self):
+        W = np.array([[5e-324, 3 * 5e-324], [3 * 5e-324, 1.0]])
+        g = GramianResult(W, Horizon.infinite(), "closed_form")
+        assert np.array_equal(g.matrix, W)
+
     def test_psd_up_to_roundoff_on_grid(self):
         for zeta in ZETA_GRID:
             for omega_n in OMEGA_GRID:
