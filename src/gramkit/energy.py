@@ -11,7 +11,6 @@ passed to :func:`min_control_energy` as horizon-limit references.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,10 @@ from .gramian import GramianResult, finite_horizon_gramian, gramian_spectrum
 from .lti import (
     StateSpaceModel,
     _readonly,
+    _require_finite,
+    _require_nonnegative,
     _require_positive,
+    _require_state,
     _require_uniform_grid,
     matrix_exponential,
     simulate,
@@ -44,15 +46,13 @@ class ControlProfile:
     def __post_init__(self) -> None:
         times = _require_uniform_grid(self.times)
         values = np.asarray(self.values, dtype=float)
-        target = np.asarray(self.target, dtype=float)
         if times[0] != 0.0:
             raise ValueError("times must be a grid starting at 0")
         if values.ndim != 2 or len(values) != len(times):
             raise ValueError("values must be 2-D with one row per grid node")
-        if not np.all(np.isfinite(values)) or not np.all(np.isfinite(target)):
-            raise ValueError("values and target must have finite entries")
-        if self.predicted_energy < 0.0 or not math.isfinite(self.predicted_energy):
-            raise ValueError(f"predicted_energy must be finite and >= 0, got {self.predicted_energy}")
+        values = _require_finite("values", values)
+        target = _require_finite("target", self.target)
+        _require_nonnegative("predicted_energy", self.predicted_energy)
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "target", _readonly(target))
@@ -100,15 +100,6 @@ def _energy_solve(g: GramianResult, x_f: np.ndarray) -> tuple[np.ndarray, float]
         return p, max(float(x_f @ p), 0.0)
 
 
-def _require_target(x_f: np.ndarray, n: int) -> np.ndarray:
-    x_f = np.asarray(x_f, dtype=float)
-    if x_f.shape != (n,):
-        raise ValueError(f"x_f must have shape ({n},), got {x_f.shape}")
-    if not np.all(np.isfinite(x_f)):
-        raise ValueError("x_f must have finite entries")
-    return x_f
-
-
 def min_control_energy(g: GramianResult, x_f: np.ndarray) -> float:
     """Minimum energy x_f^T W^{-1} x_f to reach x_f from the origin.
 
@@ -116,7 +107,7 @@ def min_control_energy(g: GramianResult, x_f: np.ndarray) -> float:
     SingularGramianError when the Gramian is not numerically positive
     definite, and ``ArithmeticError`` when the energy overflows.
     """
-    return _energy_solve(g, _require_target(x_f, g.n))[1]
+    return _energy_solve(g, _require_state("x_f", x_f, g.n))[1]
 
 
 def synthesize_min_energy_control(
@@ -149,7 +140,7 @@ def synthesize_min_energy_control(
     steps = int(steps)
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
-    x_f = _require_target(x_f, model.n)
+    x_f = _require_state("x_f", x_f, model.n)
 
     p, predicted = _energy_solve(finite_horizon_gramian(model, T), x_f)
     times = np.linspace(0.0, T, steps + 1)

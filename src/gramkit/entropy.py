@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramian import GramianResult, gramian_determinant, oscillator_gramian_closed_form
-from .lti import OscillatorParams, _require_finite_scalar, _require_positive
+from .lti import OscillatorParams, _require_finite, _require_finite_scalar, _require_positive
 
 LN_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -76,8 +76,7 @@ def shannon_entropy(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p must be a nonempty 1-D probability vector")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("p must have finite entries")
+    p = _require_finite("p", p)
     if np.any(p < 0.0):
         raise ValueError(f"p must be nonnegative, got min {p.min()}")
     total = float(p.sum())

@@ -55,13 +55,26 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def _require_finite(name: str, a: np.ndarray) -> np.ndarray:
+    """``a`` as a float array; raises on its first non-finite entry."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        _require_finite_scalar(name, a[~np.isfinite(a)][0])
+    return a
+
+
 def _require_square(name: str, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} must have finite entries")
-    return M
+    return _require_finite(name, M)
+
+
+def _require_state(name: str, x: np.ndarray, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {x.shape}")
+    return _require_finite(name, x)
 
 
 def _require_uniform_grid(times: np.ndarray) -> np.ndarray:
@@ -200,8 +213,7 @@ class StateSpaceModel:
             raise ValueError(
                 f"B must be 2-D with {A.shape[0]} rows, got shape {B.shape}"
             )
-        if not np.all(np.isfinite(B)):
-            raise ValueError("B must have finite entries")
+        B = _require_finite("B", B)
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", _readonly(B))
 
@@ -323,9 +335,11 @@ def expm_scaling_squaring(M: np.ndarray) -> ExpmResult:
     -------
     ExpmResult
         ``matrix`` holds exp(M); ``squarings`` the number of squarings used.
+        An overflow of exp(M) raises ``FloatingPointError`` without a warning.
     """
     M = _require_square("M", M)
-    E, s = _expm_stack(M[None])
+    with np.errstate(over="raise", invalid="raise"):
+        E, s = _expm_stack(M[None])
     return ExpmResult(matrix=E[0], squarings=int(s[0]))
 
 
@@ -360,9 +374,7 @@ def oscillator_expm(zeta: float, omega_n: float, t: float | np.ndarray) -> np.nd
     """
     zeta = _require_nonnegative("zeta", zeta)
     omega_n = _require_positive("omega_n", omega_n)
-    t = np.asarray(t, dtype=float)
-    for bad in t[~np.isfinite(t)]:
-        _require_finite_scalar("t", bad)  # raises on the first non-finite entry
+    t = _require_finite("t", t)
     with np.errstate(over="raise", invalid="raise"):
         c_d, s_d = _damped_cos_sin(zeta, omega_n, t)
     zw = zeta * omega_n
@@ -389,19 +401,16 @@ def matrix_exponential(A: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     ``t.shape + A.shape``.  Oscillator-shaped matrices take the per-regime
     closed form; everything else goes through one stacked scaling-and-squaring
     evaluation of every ``A t``.  The two paths agree to 1e-9 elementwise
-    wherever both apply.
+    wherever both apply.  The general path raises ``FloatingPointError``, an
+    ``ArithmeticError``, without a warning when ``A t`` or exp(A t) overflows.
     """
     A = _require_square("A", A)
     shape = _oscillator_shape(A)
     if shape is not None:
         return oscillator_expm(shape[0], shape[1], t)
-    t = np.asarray(t, dtype=float)
-    for bad in t[~np.isfinite(t)]:
-        _require_finite_scalar("t", bad)  # raises on the first non-finite entry
-    M = A * t.reshape(-1, 1, 1)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("M must have finite entries")
-    return _expm_stack(M)[0].reshape(t.shape + A.shape)
+    t = _require_finite("t", t)
+    with np.errstate(over="raise", invalid="raise"):
+        return _expm_stack(A * t.reshape(-1, 1, 1))[0].reshape(t.shape + A.shape)
 
 
 def _rk4_affine_step(model: StateSpaceModel, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -459,16 +468,13 @@ def simulate(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     n, m = model.n, model.m
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+    x0 = _require_state("x0", x0, n)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     if u.shape != (steps + 1, m):
         raise ValueError(f"u must have shape ({steps + 1}, {m}), got {u.shape}")
-    if not np.all(np.isfinite(x0)) or not np.all(np.isfinite(u)):
-        raise ValueError("x0 and u must have finite entries")
+    u = _require_finite("u", u)
 
     E, S0, S1 = _rk4_affine_step(model, T / steps)
     # Hillis-Steele / Kogge-Stone scan over the affine maps: after the level

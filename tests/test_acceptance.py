@@ -174,7 +174,7 @@ def test_randomized_property_suites():
         x_f = rng.normal(size=2)
         alpha = rng.uniform(0.1, 10.0)
         assert min_control_energy(g, alpha * x_f) == pytest.approx(
-            alpha**2 * min_control_energy(g, x_f), rel=5e-13
+            alpha**2 * min_control_energy(g, x_f), rel=5e-13, abs=0.0
         )
 
     # Shannon entropy bounds.
@@ -184,7 +184,7 @@ def test_randomized_property_suites():
         size = int(rng.integers(1, 15))
         h = shannon_entropy(rng.dirichlet(np.ones(size)))
         assert -1e-15 <= h <= math.log(size) + 1e-12
-    assert shannon_entropy(np.ones(8) / 8.0) == pytest.approx(math.log(8.0), rel=1e-14)
+    assert shannon_entropy(np.ones(8) / 8.0) == pytest.approx(math.log(8.0), rel=1e-14, abs=0.0)
     assert shannon_entropy(np.eye(5)[0]) == 0.0
 
     # Semigroup and inverse identities of the exponential (parameters kept
@@ -212,9 +212,9 @@ def test_convention_identities_only():
         c = rng.uniform(1e-3, 1e3)
         k_b = rng.uniform(1e-3, 1e3)
         chain = info_entropy_report(oscillator_gramian_closed_form(params), c=c, k_b=k_b)
-        assert chain.det_wc * chain.det_i == pytest.approx(c, rel=1e-12)
+        assert chain.det_wc * chain.det_i == pytest.approx(c, rel=1e-12, abs=0.0)
         assert chain.thermodynamic_entropy == pytest.approx(
-            k_b * chain.differential_entropy_nats, rel=1e-15
+            k_b * chain.differential_entropy_nats, rel=1e-15, abs=0.0
         )
         # Rescaling the conventions never moves the Gramian-side quantities.
         assert chain.det_wc == baseline.det_wc

@@ -107,7 +107,7 @@ class TestAnalyze:
         assert report["horizon"] == "finite"
         assert report["horizon_seconds"] == 60.0
         assert report["gramian_method"] == "augmented_expm"
-        assert report["det_wc"] == pytest.approx(0.25, rel=1e-6)
+        assert report["det_wc"] == pytest.approx(0.25, rel=1e-6, abs=0.0)
 
     def test_finite_horizon_needs_time(self):
         result = run_cli("analyze", "--zeta", "0.5", "--omega-n", "1", "--horizon", "finite")
@@ -140,7 +140,7 @@ class TestAnalyze:
         assert report["duality_constant"] == 2.0
         assert report["boltzmann_constant"] == 3.0
         assert report["thermodynamic_entropy"] == pytest.approx(
-            3.0 * report["differential_entropy_nats"], rel=1e-15
+            3.0 * report["differential_entropy_nats"], rel=1e-15, abs=0.0
         )
 
     def test_csv_and_text_formats(self):

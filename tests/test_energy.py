@@ -32,10 +32,10 @@ def diag_gramian(d1, d2):
 class TestMinControlEnergy:
     def test_reference_values(self):
         assert min_control_energy(diag_gramian(0.5, 0.5), np.array([1.0, 0.0])) == pytest.approx(
-            2.0, rel=1e-14
+            2.0, rel=1e-14, abs=0.0
         )
         assert min_control_energy(diag_gramian(1 / 16, 1 / 4), np.array([1.0, 1.0])) == pytest.approx(
-            20.0, rel=1e-14
+            20.0, rel=1e-14, abs=0.0
         )
 
     def test_zero_target_is_free(self):
@@ -81,7 +81,7 @@ class TestMinControlEnergy:
             alpha = rng.uniform(0.1, 5.0)
             base = min_control_energy(g, x_f)
             scaled = min_control_energy(g, alpha * x_f)
-            assert scaled == pytest.approx(alpha**2 * base, rel=5e-13)
+            assert scaled == pytest.approx(alpha**2 * base, rel=5e-13, abs=0.0)
 
     def test_energy_bounds_on_unit_sphere(self):
         g = oscillator_gramian_closed_form(OscillatorParams(0.5, 2.0))
@@ -94,10 +94,10 @@ class TestMinControlEnergy:
             assert 1.0 / eigenvalues[-1] - 1e-12 <= energy <= 1.0 / eigenvalues[0] + 1e-12
         # Equality at the eigenvectors of the diagonal Gramian.
         assert min_control_energy(g, np.array([1.0, 0.0])) == pytest.approx(
-            1.0 / g.matrix[0, 0], rel=1e-14
+            1.0 / g.matrix[0, 0], rel=1e-14, abs=0.0
         )
         assert min_control_energy(g, np.array([0.0, 1.0])) == pytest.approx(
-            1.0 / g.matrix[1, 1], rel=1e-14
+            1.0 / g.matrix[1, 1], rel=1e-14, abs=0.0
         )
 
     def test_damping_trend_with_infinite_horizon(self):
@@ -109,8 +109,8 @@ class TestMinControlEnergy:
             for z in (0.25, 0.5, 1.0, 2.0)
         ]
         assert all(a < b for a, b in zip(energies, energies[1:]))
-        assert energies[0] == pytest.approx(1.0, rel=1e-12)
-        assert energies[-1] == pytest.approx(8.0, rel=1e-12)
+        assert energies[0] == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert energies[-1] == pytest.approx(8.0, rel=1e-12, abs=0.0)
 
 
 class TestSynthesis:
@@ -134,7 +134,7 @@ class TestSynthesis:
         profile = synthesize_min_energy_control(model, 5.0, x_f, 500)
         gram = finite_horizon_gramian(model, 5.0)
         assert profile.predicted_energy == pytest.approx(
-            min_control_energy(gram, x_f), rel=1e-14
+            min_control_energy(gram, x_f), rel=1e-14, abs=0.0
         )
 
     def test_scaling_linearity_is_exact(self):
@@ -219,7 +219,7 @@ class TestVerification:
         )
         measured = verify_control(model, profile).measured_energy
         measured_bumped = verify_control(model, bumped).measured_energy
-        assert measured_bumped == pytest.approx(1.21 * measured, rel=1e-9)
+        assert measured_bumped == pytest.approx(1.21 * measured, rel=1e-9, abs=0.0)
 
     def test_perturbed_controls_never_beat_the_minimum(self):
         # Any admissible control reaching the same target costs at least the

@@ -50,15 +50,15 @@ class TestFisherDuality:
 class TestGaussianEntropy:
     def test_unit_covariance(self):
         assert gaussian_entropy_from_covariance(1.0, 2) == pytest.approx(
-            2.837877066409345, rel=1e-12
+            2.837877066409345, rel=1e-12, abs=0.0
         )
         assert gaussian_entropy_from_covariance(1.0, 1) == pytest.approx(
-            1.418938533204673, rel=1e-12
+            1.418938533204673, rel=1e-12, abs=0.0
         )
 
     def test_fim_entry_point(self):
         # ln(2*pi*e) - ln(64)/2
-        assert gaussian_entropy_from_fim(64.0, 2) == pytest.approx(0.7584355247295096, rel=1e-12)
+        assert gaussian_entropy_from_fim(64.0, 2) == pytest.approx(0.7584355247295096, rel=1e-12, abs=0.0)
 
     def test_entry_points_agree(self):
         rng = np.random.default_rng(2)
@@ -80,9 +80,9 @@ class TestGaussianEntropy:
 
 class TestShannonEntropy:
     def test_reference_values(self):
-        assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2.0), rel=1e-15, abs=0.0)
         assert shannon_entropy([1.0, 0.0]) == 0.0
-        assert shannon_entropy([0.25, 0.75]) == pytest.approx(0.5623351446188083, rel=1e-14)
+        assert shannon_entropy([0.25, 0.75]) == pytest.approx(0.5623351446188083, rel=1e-14, abs=0.0)
 
     def test_bounds(self):
         rng = np.random.default_rng(9)
@@ -110,7 +110,7 @@ class TestThermodynamicEntropy:
 
     def test_boltzmann_form(self):
         assert boltzmann_entropy(1.0) == 0.0
-        assert boltzmann_entropy(math.e**2) == pytest.approx(2.0, rel=1e-14)
+        assert boltzmann_entropy(math.e**2) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -162,7 +162,7 @@ class TestReport:
             c = rng.uniform(0.1, 10.0)
             k_b = rng.uniform(0.1, 5.0)
             report = info_entropy_report(oscillator_gramian_closed_form(params), c=c, k_b=k_b)
-            assert report.det_wc * report.det_i == pytest.approx(c, rel=1e-12)
+            assert report.det_wc * report.det_i == pytest.approx(c, rel=1e-12, abs=0.0)
             assert report.differential_entropy_nats == 0.5 * report.n * LN_2PI_E - 0.5 * math.log(
                 report.det_i
             )
@@ -190,7 +190,7 @@ class TestReport:
         assert report.n == 3
         reference = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
         assert report.det_wc == pytest.approx(np.linalg.det(reference), rel=1e-9, abs=0.0)
-        assert report.det_wc * report.det_i == pytest.approx(2.5, rel=1e-12)
+        assert report.det_wc * report.det_i == pytest.approx(2.5, rel=1e-12, abs=0.0)
         assert report.differential_entropy_nats == pytest.approx(
             1.5 * LN_2PI_E - 0.5 * math.log(report.det_i), abs=1e-12
         )
@@ -216,5 +216,5 @@ class TestReport:
         rng = np.random.default_rng(6)
         for _ in range(200):
             nats = rng.uniform(-40.0, 40.0)
-            assert bits_to_nats(nats_to_bits(nats)) == pytest.approx(nats, rel=1e-15)
-        assert nats_to_bits(math.log(2.0)) == pytest.approx(1.0, rel=1e-15)
+            assert bits_to_nats(nats_to_bits(nats)) == pytest.approx(nats, rel=1e-15, abs=0.0)
+        assert nats_to_bits(math.log(2.0)) == pytest.approx(1.0, rel=1e-15, abs=0.0)

@@ -49,8 +49,8 @@ class TestOscillatorParams:
 
     def test_physical_triple(self):
         params = OscillatorParams.from_physical(mass=1.0, damping=2.0, stiffness=1.0)
-        assert params.zeta == pytest.approx(1.0, rel=1e-15)
-        assert params.omega_n == pytest.approx(1.0, rel=1e-15)
+        assert params.zeta == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert params.omega_n == pytest.approx(1.0, rel=1e-15, abs=0.0)
         assert params.regime is DampingRegime.CRITICALLY_DAMPED
         model = make_oscillator(params)
         assert model.A.tolist() == [[0.0, 1.0], [-1.0, -2.0]]
@@ -123,7 +123,7 @@ class TestOscillatorParams:
         assert OscillatorParams(0.0, 2.0).omega_d == pytest.approx(2.0)
         damped = OscillatorParams(0.6, 2.0).omega_d
         assert 0.0 < damped < 2.0
-        assert damped == pytest.approx(2.0 * math.sqrt(1 - 0.36), rel=1e-15)
+        assert damped == pytest.approx(2.0 * math.sqrt(1 - 0.36), rel=1e-15, abs=0.0)
         assert OscillatorParams(1.0, 2.0).omega_d is None
         assert OscillatorParams(3.0, 2.0).omega_d is None
 
@@ -294,7 +294,7 @@ class TestMatrixExponential:
             assert np.abs(Ets - Et @ Es).max() < 1e-9
             assert np.abs(Et @ matrix_exponential(A, -t) - np.eye(2)).max() < 1e-9
             expected_det = math.exp(np.trace(A) * t)
-            assert np.linalg.det(Et) == pytest.approx(expected_det, rel=1e-9)
+            assert np.linalg.det(Et) == pytest.approx(expected_det, rel=1e-9, abs=0.0)
 
     def test_squaring_count_recorded(self):
         result = expm_scaling_squaring(np.array([[0.0, 1.0], [-16.0, -4.0]]))
@@ -309,6 +309,19 @@ class TestMatrixExponential:
             matrix_exponential(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
         with pytest.raises(ValueError):
             matrix_exponential(np.eye(2), float("inf"))
+
+    def test_overflow_raises_without_warning(self):
+        # exp(3000) overflows; so does A t at t = 1e308.  Both are range
+        # failures of the general path, not invalid input.
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError):
+                expm_scaling_squaring(1e3 * A)
+            with pytest.raises(ArithmeticError):
+                matrix_exponential(A, 1e3)
+            with pytest.raises(ArithmeticError):
+                matrix_exponential(A, np.array([0.0, 1e308]))
 
 
 def exact_step_recurrence(model, u, x0, T, steps):
@@ -410,8 +423,8 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             final = simulate(model, u, x0, 700.0, 2000).states[-1, 0]
-        assert final == pytest.approx(stepped_recurrence(model, u[:, None], x0, 700.0, 2000)[-1, 0], rel=1e-12)
-        assert final == pytest.approx(9.4995e303, rel=1e-4)
+        assert final == pytest.approx(stepped_recurrence(model, u[:, None], x0, 700.0, 2000)[-1, 0], rel=1e-12, abs=0.0)
+        assert final == pytest.approx(9.4995e303, rel=1e-4, abs=0.0)
 
     def test_equilibrium_stays_put(self):
         model = osc_model(0.5, 1.0)

@@ -3,15 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from gramkit.energy import synthesize_min_energy_control
+from gramkit.energy import ControlProfile, min_control_energy, synthesize_min_energy_control
 from gramkit.entropy import (
     boltzmann_entropy,
     fisher_dual_determinant,
     info_entropy_report,
+    shannon_entropy,
     thermodynamic_entropy,
 )
-from gramkit.gramian import finite_horizon_gramian, oscillator_gramian_closed_form
-from gramkit.lti import OscillatorParams, make_oscillator, simulate
+from gramkit.gramian import (
+    GramianResult,
+    Horizon,
+    finite_horizon_gramian,
+    oscillator_gramian_closed_form,
+)
+from gramkit.lti import (
+    OscillatorParams,
+    StateSpaceModel,
+    expm_scaling_squaring,
+    make_oscillator,
+    simulate,
+)
 
 MODEL = make_oscillator(OscillatorParams(0.5, 1.0))
 GRAM = oscillator_gramian_closed_form(OscillatorParams(0.5, 1.0))
@@ -51,3 +63,39 @@ def test_bad_scalar_is_rejected_by_name(name, call, out_of_range, kind):
     value = {"nan": math.nan, "inf": math.inf, "out_of_range": out_of_range}[kind]
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call(value)
+
+
+GRID = np.linspace(0.0, 1.0, 3)
+
+# (array name, public entry point given one bad entry)
+ARRAY_INPUTS = [
+    pytest.param("u", lambda v: simulate(MODEL, np.full(11, v), np.zeros(2), 1.0, 10),
+                 id="u-simulate"),
+    pytest.param("x0", lambda v: simulate(MODEL, np.zeros(11), np.array([0.0, v]), 1.0, 10),
+                 id="x0-simulate"),
+    pytest.param("values", lambda v: ControlProfile(GRID, np.full((3, 1), v), np.ones(2), 1.0),
+                 id="values-ControlProfile"),
+    pytest.param("target", lambda v: ControlProfile(GRID, np.zeros((3, 1)), np.array([v, 0.0]), 1.0),
+                 id="target-ControlProfile"),
+    pytest.param("x_f", lambda v: min_control_energy(GRAM, np.array([1.0, v])),
+                 id="x_f-min_control_energy"),
+    pytest.param("x_f", lambda v: synthesize_min_energy_control(MODEL, 1.0, np.array([v, 0.0]), 100),
+                 id="x_f-synthesize_min_energy_control"),
+    pytest.param("B", lambda v: StateSpaceModel(MODEL.A, np.array([[0.0], [v]])),
+                 id="B-StateSpaceModel"),
+    pytest.param("A", lambda v: StateSpaceModel(np.array([[0.0, 1.0], [v, 0.0]]), MODEL.B),
+                 id="A-StateSpaceModel"),
+    pytest.param("M", lambda v: expm_scaling_squaring(np.array([[v, 0.0], [0.0, 1.0]])),
+                 id="M-expm_scaling_squaring"),
+    pytest.param("Gramian", lambda v: GramianResult(np.diag([1.0, v]), Horizon.infinite(), "lyapunov"),
+                 id="Gramian-GramianResult"),
+    pytest.param("p", lambda v: shannon_entropy(np.array([0.5, v])),
+                 id="p-shannon_entropy"),
+]
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+@pytest.mark.parametrize("name,call", ARRAY_INPUTS)
+def test_non_finite_array_entry_is_rejected_by_name(name, call, kind):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {kind}$"):
+        call(float(kind))

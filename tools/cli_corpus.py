@@ -1,0 +1,114 @@
+"""Run a fixed corpus of gramkit CLI invocations in-process and fingerprint them.
+
+Usage: python tools/cli_corpus.py
+
+Each invocation runs through ``gramkit.cli.main`` from a temporary working
+directory with a relative ``--out`` path, so the reported ``profile_path``
+does not depend on where the script runs.  One line is printed per
+invocation: the argv, the exit code, and the sha256 of stdout, stderr and
+the written file ("-" when none was written).  Diffing the output of two
+checkouts shows every invocation whose CLI bytes changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gramkit import cli  # noqa: E402
+
+OUT = "out.txt"
+
+ZETAS = ["0", "1e-320", "0.01", "0.5", "1", "4", "1e300"]
+OMEGAS = ["1e-3", "1", "2", "3e102", "1e200"]
+HORIZONS = [[], ["--T", "1e-8"], ["--T", "3"], ["--T", "1000"], ["--T", "1e20"], ["--T", "1e-300"]]
+TRIPLES = [
+    ("1", "1", "1"),
+    ("2", "0.5", "8"),
+    ("1e-3", "2", "1e3"),
+    ("1", "0", "4"),
+    ("1e150", "1", "1e-150"),
+    ("1e-300", "1e-300", "1e300"),
+]
+FAILING_SWEEPS = [
+    ["--omega-n-grid", "1e-110,1", "--T-grid", "1,1e300"],
+    ["--omega-n-grid", "1,1e200", "--T-grid", "1"],
+    ["--omega-n-grid", "1,1e200"],
+]
+LARGE_SWEEP = [
+    "--zeta-grid", "0,0.05,0.1,0.3,0.5,0.7,0.9,1,1.5,3",
+    "--omega-n-grid", "0.1,0.5,1,2,5,10",
+    "--T-grid", "0.1,1,3,10,100",
+]
+# The last point misses the 1e-3 verification gate at the default steps (exit 4).
+SYNTH_POINTS = [["--zeta", z, "--omega-n", "1", "--T", "3"] for z in ("0", "0.5", "1", "3")]
+SYNTH_POINTS.append(["--zeta", "0.5", "--omega-n", "1", "--T", "200"])
+TARGETS = ["1,0", "0,1", "1e300,0", "0,0"]
+STEPS = [[], ["--steps", "500"], ["--steps", "301"]]
+
+
+def corpus() -> list[list[str]]:
+    runs = []
+    for fmt in ("json", "csv", "text"):
+        for zeta in ZETAS:
+            for omega_n in OMEGAS:
+                for horizon in HORIZONS:
+                    finite = ["--horizon", "finite"] if horizon else []
+                    runs.append(["analyze", "--zeta", zeta, "--omega-n", omega_n,
+                                 *finite, *horizon, "--format", fmt])
+        for m, c, k in TRIPLES:
+            for horizon in ([], ["--horizon", "finite", "--T", "3"]):
+                runs.append(["analyze", "--m", m, "--c", c, "--k", k, *horizon, "--format", fmt])
+    runs.append(["analyze", "--zeta", "0.5", "--omega-n", "2", "--out", OUT])
+    for grids in FAILING_SWEEPS:
+        runs.append(["sweep", "--zeta-grid", "0.5", *grids])
+        runs.append(["sweep", "--zeta-grid", "0.5", *grids, "--duality-c", "-1"])
+    runs.append(["sweep", *LARGE_SWEEP])
+    runs.append(["sweep", *LARGE_SWEEP, "--out", OUT])
+    for fmt in ("json", "text"):
+        for point in SYNTH_POINTS:
+            for steps in STEPS:
+                for target in TARGETS:
+                    runs.append(["synthesize", *point, "--xf", target, *steps,
+                                 "--out", OUT, "--format", fmt])
+    return runs
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")  # every invocation shows its own warnings
+        code = cli.main(argv)
+    written = Path(OUT)
+    profile = _sha(written.read_bytes()) if written.exists() else "-"
+    written.unlink(missing_ok=True)
+    return "\t".join([" ".join(argv), str(code), _sha(out.getvalue().encode()),
+                      _sha(err.getvalue().encode()), profile])
+
+
+def main() -> int:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for argv in corpus():
+                print(run(argv))
+        finally:
+            os.chdir(start)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
