@@ -38,10 +38,28 @@ TRIPLES = [
     ("1e150", "1", "1e-150"),
     ("1e-300", "1e-300", "1e300"),
 ]
+# Sweeps that fail after their first row, each run as is and with --duality-c -1,
+# which makes the first row fail instead.
 FAILING_SWEEPS = [
-    ["--omega-n-grid", "1e-110,1", "--T-grid", "1,1e300"],
-    ["--omega-n-grid", "1,1e200", "--T-grid", "1"],
-    ["--omega-n-grid", "1,1e200"],
+    # kernel range: the Gramian of row 1 leaves the double range
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1e-110,1", "--T-grid", "1,1e300"],
+    # model build: the oscillator matrix of row 1 overflows
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e200", "--T-grid", "1"],
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e200"],
+    # kernel setup: ||A|| T of row 1 overflows; row 0 fails the duality constant
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e100", "--T-grid", "1e300", "--duality-c", "0"],
+    # closed form
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e103"],
+    # det(W) overflow
+    ["--zeta-grid", "0,0.5", "--omega-n-grid", "1e-80"],
+    # det(W) underflow
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e77"],
+    # det(I) = c / det(W) range
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e3", "--duality-c", "1e300"],
+    # S = k_B * H overflow
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e10", "--kb", "1e307"],
+    # condition number
+    ["--zeta-grid", "1e132", "--omega-n-grid", "5e-133", "--T-grid", "1,1.79e308"],
 ]
 LARGE_SWEEP = [
     "--zeta-grid", "0,0.05,0.1,0.3,0.5,0.7,0.9,1,1.5,3",
@@ -69,8 +87,8 @@ def corpus() -> list[list[str]]:
                 runs.append(["analyze", "--m", m, "--c", c, "--k", k, *horizon, "--format", fmt])
     runs.append(["analyze", "--zeta", "0.5", "--omega-n", "2", "--out", OUT])
     for grids in FAILING_SWEEPS:
-        runs.append(["sweep", "--zeta-grid", "0.5", *grids])
-        runs.append(["sweep", "--zeta-grid", "0.5", *grids, "--duality-c", "-1"])
+        runs.append(["sweep", *grids])
+        runs.append(["sweep", *grids, "--duality-c", "-1"])
     runs.append(["sweep", *LARGE_SWEEP])
     runs.append(["sweep", *LARGE_SWEEP, "--out", OUT])
     for fmt in ("json", "text"):
