@@ -11,21 +11,26 @@ schema_version field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from typing import Sequence
 
 import numpy as np
 
 from .energy import synthesize_min_energy_control, verify_control
-from .entropy import info_entropy_report, nats_to_bits
+from .entropy import _entropy_chains, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
 from .gramian import (
     GramianResult,
+    _closed_form,
+    _determinants,
     _finite_horizon_gramians,
+    _spectra,
+    _symmetrize,
     finite_horizon_gramian,
-    gramian_spectrum,
     oscillator_gramian_closed_form,
 )
 from .lti import OscillatorParams, StateSpaceModel, _require_positive, make_oscillator
@@ -55,6 +60,11 @@ CSV_COLUMNS = [
     "thermodynamic_entropy",
     "entropy_index",
 ]
+
+# One CSV row: every cell at full round-trip precision, locale-independent
+# (%.17g formats as _fmt does); horizon_seconds comes formatted by _fmt,
+# since it is empty for an infinite horizon.
+CSV_ROW = ",".join(["%.17g", "%.17g", "%s", "%s", "%s"] + ["%.17g"] * 12)
 
 
 def _fmt(value: float | None) -> str:
@@ -97,69 +107,62 @@ def _params_from_args(args: argparse.Namespace) -> OscillatorParams:
     return OscillatorParams(zeta=args.zeta, omega_n=args.omega_n)
 
 
-def _analysis_record(
-    params: OscillatorParams, model: StateSpaceModel, gram: GramianResult, c: float, k_b: float
-) -> dict:
-    """One analysis result as a flat dict.
+def _report_rows(points: list, W: np.ndarray, c: float, k_b: float) -> Iterator[tuple]:
+    """The CSV cells of each report row, from one pass over its Gramians.
 
+    ``points`` holds (params, horizon kind, horizon seconds) per row and W
+    the (k, 2, 2) Gramians, symmetrized here as ``GramianResult`` does.
     The duality/entropy chain always derives from the determinant of the
-    reported Gramian.
+    reported Gramian.  A row that fails raises when it is reached, so a
+    table reports its first failing row, and within it the first failing
+    check: the determinant's range, the entropy chain, then the condition
+    number.
     """
-    chain = info_entropy_report(gram, c, k_b)
-    spectrum = gramian_spectrum(gram)
-    if spectrum.condition_number == math.inf:
-        raise ArithmeticError(
-            "condition number of the Gramian is not finite "
-            f"(eigenvalues {spectrum.eigenvalues.tolist()})"
-        )
+    W = _symmetrize(W)
+    eigenvalues, trace, condition, _ = _spectra(W)
+    # zip draws each row's determinant and chain before the loop body runs.
+    chains = _entropy_chains(_determinants(W), 2, c, k_b)
+    for (params, kind, seconds), w, chain, lam, tr, cond in zip(
+        points, W.tolist(), chains, eigenvalues.tolist(), trace.tolist(), condition.tolist()
+    ):
+        if cond == math.inf:
+            raise ArithmeticError(
+                f"condition number of the Gramian is not finite (eigenvalues {lam})"
+            )
+        det_wc, det_i, h, s, entropy_index = chain
+        yield (params.zeta, params.omega_n, params.regime.value, kind, _fmt(seconds),
+               w[0][0], w[0][1], w[1][1], det_wc, lam[0], lam[-1], tr, cond,
+               det_i, h, s, entropy_index)
+
+
+def _analysis_record(
+    model: StateSpaceModel, gram: GramianResult, row: tuple, c: float, k_b: float
+) -> dict:
+    """One analysis result, its report row, as a flat dict."""
+    cells = dict(zip(CSV_COLUMNS, row))
     return {
         "schema_version": SCHEMA_VERSION,
-        "zeta": params.zeta,
-        "omega_n": params.omega_n,
-        "regime": params.regime.value,
+        "zeta": cells["zeta"],
+        "omega_n": cells["omega_n"],
+        "regime": cells["regime"],
         "a_matrix": model.A.tolist(),
         "b_matrix": model.B.tolist(),
-        "horizon": gram.horizon.kind,
+        "horizon": cells["horizon"],
         "horizon_seconds": gram.horizon.seconds,
         "gramian_method": gram.method,
         "gramian": gram.matrix.tolist(),
-        "det_wc": chain.det_wc,
-        "eigenvalues": spectrum.eigenvalues.tolist(),
-        "trace": spectrum.trace,
-        "condition_number": spectrum.condition_number,
+        "det_wc": cells["det_wc"],
+        "eigenvalues": [cells["lambda_min"], cells["lambda_max"]],
+        "trace": cells["trace"],
+        "condition_number": cells["condition_number"],
         "duality_constant": c,
-        "det_i": chain.det_i,
-        "differential_entropy_nats": chain.differential_entropy_nats,
-        "differential_entropy_bits": nats_to_bits(chain.differential_entropy_nats),
+        "det_i": cells["det_i"],
+        "differential_entropy_nats": cells["differential_entropy_nats"],
+        "differential_entropy_bits": nats_to_bits(cells["differential_entropy_nats"]),
         "boltzmann_constant": k_b,
-        "thermodynamic_entropy": chain.thermodynamic_entropy,
-        "entropy_index": chain.entropy_index,
+        "thermodynamic_entropy": cells["thermodynamic_entropy"],
+        "entropy_index": cells["entropy_index"],
     }
-
-
-def _record_to_csv_row(record: dict) -> str:
-    w = record["gramian"]
-    eigenvalues = record["eigenvalues"]
-    cells = [
-        _fmt(record["zeta"]),
-        _fmt(record["omega_n"]),
-        record["regime"],
-        record["horizon"],
-        _fmt(record["horizon_seconds"]),
-        _fmt(w[0][0]),
-        _fmt(w[0][1]),
-        _fmt(w[1][1]),
-        _fmt(record["det_wc"]),
-        _fmt(eigenvalues[0]),
-        _fmt(eigenvalues[-1]),
-        _fmt(record["trace"]),
-        _fmt(record["condition_number"]),
-        _fmt(record["det_i"]),
-        _fmt(record["differential_entropy_nats"]),
-        _fmt(record["thermodynamic_entropy"]),
-        _fmt(record["entropy_index"]),
-    ]
-    return ",".join(cells)
 
 
 def _record_to_text(record: dict) -> str:
@@ -196,13 +199,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gram = oscillator_gramian_closed_form(params)
     else:
         gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
-    record = _analysis_record(params, model, gram, args.duality_c, args.kb)
-    if args.format == "json":
-        text = json.dumps(record, indent=2)
-    elif args.format == "csv":
-        text = ",".join(CSV_COLUMNS) + "\n" + _record_to_csv_row(record)
+    point = (params, gram.horizon.kind, gram.horizon.seconds)
+    row = next(_report_rows([point], gram.matrix[None], args.duality_c, args.kb))
+    if args.format == "csv":
+        text = ",".join(CSV_COLUMNS) + "\n" + CSV_ROW % row
     else:
-        text = _record_to_text(record)
+        record = _analysis_record(model, gram, row, args.duality_c, args.kb)
+        text = json.dumps(record, indent=2) if args.format == "json" else _record_to_text(record)
     _emit(text, args.out)
     return 0
 
@@ -231,9 +234,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # Deterministic order: zeta outer, omega_n middle, T inner.  Every model is
     # built first so that all finite rows share one stacked Gramian kernel
-    # call; a model that cannot be built is reported after the rows before
-    # it, and a row whose Gramian fails raises when it is reached, so the
-    # first failure in table order is the one reported.
+    # call and every row one report pass.  The pass runs over the rows before
+    # the first one whose model or Gramian fails and raises at the first of
+    # them that fails; only then is that model or Gramian failure raised, so
+    # the first failure in table order is the one reported.
     models, failure = [], None
     try:
         for zeta in zetas:
@@ -242,15 +246,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 models.append((params, make_oscillator(params)))
     except (ValueError, ArithmeticError) as exc:
         failure = exc
-    rows = [(params, model, T) for params, model in models for T in horizons]
+    if not models:
+        raise failure
     if args.T_grid is None:
-        grams = (oscillator_gramian_closed_form(params) for params, _, _ in rows)
+        closed = []
+        try:
+            for params, _ in models:
+                closed.append(_closed_form(params))
+        except ArithmeticError as exc:
+            failure = exc
+        points = [(params, horizon.kind, None) for (params, _), (_, horizon) in zip(models, closed)]
+        W = np.array([np.diag(diagonal) for diagonal, _ in closed]).reshape(-1, 2, 2)
     else:
-        grams = _finite_horizon_gramians([row[1] for row in rows], [row[2] for row in rows])
+        rows = [(params, model, T) for params, model in models for T in horizons]
+        W, kernel_failure = _finite_horizon_gramians([r[1] for r in rows], [r[2] for r in rows])
+        failure = failure if kernel_failure is None else kernel_failure
+        points = [(params, "finite", T) for params, _, T in rows[: len(W)]]
     lines = [",".join(CSV_COLUMNS)]
-    for (params, model, _), gram in zip(rows, grams):
-        record = _analysis_record(params, model, gram, args.duality_c, args.kb)
-        lines.append(_record_to_csv_row(record))
+    lines += [CSV_ROW % row for row in _report_rows(points, W, args.duality_c, args.kb)]
     if failure is not None:
         raise failure
     _emit("\n".join(lines), args.out)
@@ -322,7 +335,9 @@ def _add_convention_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gramkit",
         description="Controllability Gramians, control energy, and entropy metrics "

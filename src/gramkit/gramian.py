@@ -97,13 +97,19 @@ class GramianResult:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        W = _require_square("Gramian", self.matrix)
-        W = np.where(W == W.T, W, 0.5 * W + 0.5 * W.T)
+        W = _symmetrize(_require_square("Gramian", self.matrix))
         object.__setattr__(self, "matrix", _readonly(W))
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+def _symmetrize(W: np.ndarray) -> np.ndarray:
+    """W, or a stack of them, with each entry that differs from its
+    transpose replaced by 0.5 W + 0.5 W^T."""
+    Wt = W.swapaxes(-1, -2)
+    return np.where(W == Wt, W, 0.5 * W + 0.5 * Wt)
 
 
 def _balancing_exponents(A: np.ndarray) -> np.ndarray:
@@ -138,13 +144,14 @@ def _balancing_exponents(A: np.ndarray) -> np.ndarray:
 
 def _augmented_expm_gramian(
     A: np.ndarray, B: np.ndarray, T: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gramians over [0, T_i] of a stack of systems from block-matrix exponentials.
 
-    A is (k, n, n), B (k, n, m) and T (k,).  Returns W (k, n, n), which
-    ``GramianResult`` symmetrizes, and a boolean (k,) marking the rows whose
-    Gramian left the double range: an entry overflowed, or a nonzero entry
-    underflowed to 0.
+    A is (k, n, n), B (k, n, m) and T (k,).  Returns W (k, n, n), not yet
+    symmetrized, and two booleans (k,): the rows that cannot be scaled,
+    because ||A_s|| T or ||B_s B_s^T|| leaves the double range (their W is
+    0), and the rows whose Gramian left the double range, because an entry
+    overflowed or a nonzero entry underflowed to 0.
 
     Each system is first balanced, A_s = D^-1 A D and B_s = D^-1 B with D a
     power of two per state, and W = D W_s D.  One exponential of
@@ -168,18 +175,21 @@ def _augmented_expm_gramian(
     e = _balancing_exponents(A)
     row, col = e[:, :, None], e[:, None, :]
     M = np.zeros((k, 2 * n, 2 * n))
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):
         A = np.ldexp(A, col - row)
         B = np.ldexp(B, -row)
         Q = B @ B.swapaxes(1, 2)
+        step, q = _norm1(A) * T, _norm1(Q)
         # frexp(x) = (m, E) with x = m * 2**E, 1/2 <= m < 1.
-        d = np.maximum(np.frexp(_norm1(A) * T)[1] - 1, 0)
+        d = np.maximum(np.frexp(step)[1] - 1, 0)
         h = np.ldexp(T, -d)
-        c = np.frexp(_norm1(Q))[1] + np.frexp(h)[1]
+        c = np.frexp(q)[1] + np.frexp(h)[1]
         M[:, :n, :n] = -A
         M[:, :n, n:] = np.ldexp(Q, -c[:, None, None])
         M[:, n:, n:] = A.swapaxes(1, 2)
         M *= h[:, None, None]
+    unscaled = ~(np.isfinite(step) & np.isfinite(q))
+    M[unscaled] = 0.0
     order = (-d).argsort(kind="stable")
     M, d = M[order], d[order]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,7 +203,7 @@ def _augmented_expm_gramian(
         W = W[order.argsort()]
         scaled = np.ldexp(W, row + col + c[:, None, None])  # D (2**c W') D
     kept = np.isfinite(scaled) & ((scaled != 0.0) | (W == 0.0))
-    return scaled, ~np.logical_and.reduce(kept, axis=(1, 2))
+    return scaled, unscaled, ~np.logical_and.reduce(kept, axis=(1, 2))
 
 
 def _adaptive_simpson_gramian(
@@ -240,21 +250,27 @@ def _adaptive_simpson_gramian(
 
 def _finite_horizon_gramians(
     models: Sequence[StateSpaceModel], horizons: Sequence[float]
-) -> Iterator[GramianResult]:
+) -> tuple[np.ndarray, ArithmeticError | None]:
     """Augmented-expm Gramians of (model, T) rows from one stacked kernel call.
 
-    The models must share their shapes.  Results come in row order; a row
-    whose Gramian leaves the double range raises ``ArithmeticError`` when it
-    is reached, after the rows before it.
+    The models must share their shapes.  Returns the Gramians, not yet
+    symmetrized, of the rows before the first row that fails, in row order,
+    and that row's ``ArithmeticError`` (None when no row fails): its kernel
+    step cannot be scaled, or its Gramian leaves the double range.
     """
     T = [_require_nonnegative("T", t) for t in horizons]
     A = np.array([model.A for model in models])
     B = np.array([model.B for model in models])
-    W, lost = _augmented_expm_gramian(A, B, np.array(T))
-    for row, seconds, failed in zip(W, T, lost.tolist()):
-        if failed:
-            raise ArithmeticError(f"the Gramian over [0, {seconds}] leaves the double range")
-        yield GramianResult(matrix=row, horizon=Horizon.finite(seconds), method="augmented_expm")
+    W, unscaled, lost = _augmented_expm_gramian(A, B, np.array(T))
+    failed = unscaled | lost
+    if not failed.any():
+        return W, None
+    i = int(failed.argmax())
+    if unscaled[i]:
+        reason = "cannot be scaled: ||A|| T or ||B B^T|| overflows"
+    else:
+        reason = "leaves the double range"
+    return W[:i], ArithmeticError(f"the Gramian over [0, {T[i]}] {reason}")
 
 
 def finite_horizon_gramian(
@@ -277,7 +293,8 @@ def finite_horizon_gramian(
     Raises
     ------
     ArithmeticError
-        If the ``augmented_expm`` Gramian leaves the double range.
+        If ||A|| T, ||B B^T|| or the ``augmented_expm`` Gramian leaves the
+        double range.
     QuadratureConvergenceError
         If adaptive Simpson does not converge within the panel cap.
     """
@@ -285,8 +302,12 @@ def finite_horizon_gramian(
     if method not in ("augmented_expm", "quadrature"):
         raise ValueError(f"method must be 'augmented_expm' or 'quadrature', got {method!r}")
     if method == "augmented_expm":
-        return next(_finite_horizon_gramians([model], [T]))
-    W = _adaptive_simpson_gramian(model.A, model.B, T, QUADRATURE_TOL, QUADRATURE_PANEL_CAP)
+        W, failure = _finite_horizon_gramians([model], [T])
+        if failure is not None:
+            raise failure
+        W = W[0]
+    else:
+        W = _adaptive_simpson_gramian(model.A, model.B, T, QUADRATURE_TOL, QUADRATURE_PANEL_CAP)
     return GramianResult(matrix=W, horizon=Horizon.finite(T), method=method)
 
 
@@ -342,6 +363,12 @@ def oscillator_gramian_closed_form(params: OscillatorParams) -> GramianResult:
     ``paper_adopted_undamped`` horizon tag so callers opt in knowingly.
     Raises ``OverflowError`` when an entry is not a positive double.
     """
+    diagonal, horizon = _closed_form(params)
+    return GramianResult(matrix=np.diag(diagonal), horizon=horizon, method="closed_form")
+
+
+def _closed_form(params: OscillatorParams) -> tuple[list[float], Horizon]:
+    """Diagonal and horizon of ``oscillator_gramian_closed_form``."""
     wn, z = params.omega_n, params.zeta
     horizon = Horizon.infinite() if z > 0.0 else Horizon.adopted_undamped()
     try:
@@ -353,7 +380,7 @@ def oscillator_gramian_closed_form(params: OscillatorParams) -> GramianResult:
         diagonal = [math.inf]
     if not all(0.0 < d < math.inf for d in diagonal):
         raise OverflowError(f"closed-form Gramian overflows at zeta={z}, omega_n={wn}")
-    return GramianResult(matrix=np.diag(diagonal), horizon=horizon, method="closed_form")
+    return diagonal, horizon
 
 
 def gramian_determinant(g: GramianResult) -> float:
@@ -379,16 +406,29 @@ def gramian_determinant(g: GramianResult) -> float:
         if sign != 0.0:
             raise ArithmeticError(f"Gramian determinant underflows (ln|det W| = {logdet})")
         return det
-    W = g.matrix.tolist()
     if g.n == 1:
-        return W[0][0]
-    diagonal = W[0][0] * W[1][1]
-    det = diagonal - W[0][1] * W[1][0]
-    if not math.isfinite(det):
-        raise OverflowError(f"Gramian determinant overflows (entries {W})")
-    if W[0][0] and W[1][1] and abs(diagonal) < sys.float_info.min:
-        raise ArithmeticError(f"Gramian determinant underflows (entries {W})")
-    return det
+        return float(g.matrix[0, 0])
+    return next(_determinants(g.matrix[None]))
+
+
+def _determinants(W: np.ndarray) -> Iterator[float]:
+    """Cofactor determinants of a (k, 2, 2) stack, in row order.
+
+    A row whose det(W) overflows raises ``OverflowError``, and one where the
+    product of two nonzero diagonal entries falls below the normal double
+    range raises ``ArithmeticError``, when it is reached.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = W[:, 0, 0] * W[:, 1, 1]
+        det = diagonal - W[:, 0, 1] * W[:, 1, 0]
+    overflow = ~np.isfinite(det)
+    underflow = (W[:, 0, 0] != 0.0) & (W[:, 1, 1] != 0.0) & (np.abs(diagonal) < sys.float_info.min)
+    for w, d, over, under in zip(W, det.tolist(), overflow.tolist(), underflow.tolist()):
+        if over:
+            raise OverflowError(f"Gramian determinant overflows (entries {w.tolist()})")
+        if under:
+            raise ArithmeticError(f"Gramian determinant underflows (entries {w.tolist()})")
+        yield d
 
 
 @dataclass(frozen=True)
@@ -410,14 +450,23 @@ class GramianSpectrum:
 
 def gramian_spectrum(g: GramianResult) -> GramianSpectrum:
     """Symmetric eigendecomposition summary of a Gramian."""
-    eigenvalues = np.linalg.eigvalsh(g.matrix)
-    lam_min = float(eigenvalues[0])
-    lam_max = float(eigenvalues[-1])
-    flagged = lam_min <= SPD_RATIO_FLOOR * lam_max
-    condition = math.inf if lam_min <= 0.0 else lam_max / lam_min
+    eigenvalues, trace, condition, flagged = _spectra(g.matrix[None])
     return GramianSpectrum(
-        eigenvalues=eigenvalues,
-        trace=float(np.trace(g.matrix)),
-        condition_number=condition,
-        uncontrollable_direction=flagged,
+        eigenvalues=eigenvalues[0],
+        trace=float(trace[0]),
+        condition_number=float(condition[0]),
+        uncontrollable_direction=bool(flagged[0]),
     )
+
+
+def _spectra(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (k, n) ascending, trace, condition number (inf when
+    lambda_min <= 0) and the ``SPD_RATIO_FLOOR`` flag of a (k, n, n) stack of
+    symmetric matrices."""
+    eigenvalues = np.linalg.eigvalsh(W)
+    lam_min, lam_max = eigenvalues[:, 0], eigenvalues[:, -1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        condition = lam_max / lam_min
+    condition[lam_min <= 0.0] = math.inf
+    flagged = lam_min <= SPD_RATIO_FLOOR * lam_max
+    return eigenvalues, W.trace(axis1=1, axis2=2), condition, flagged

@@ -346,6 +346,9 @@ class TestSweep:
             # Model (0.5, 1e200) overflows when it is built (exit 3).
             ["--omega-n-grid", "1,1e200", "--T-grid", "1"],
             ["--omega-n-grid", "1,1e200"],
+            # ||A|| T of row (0.5, 1e100, 1e300) overflows in the kernel's
+            # setup, which is refused for that row alone (exit 3).
+            ["--omega-n-grid", "1,1e100", "--T-grid", "1e300"],
         ],
     )
     def test_first_failure_in_table_order_is_reported(self, grids):
@@ -354,6 +357,25 @@ class TestSweep:
         code, out, err = run_in_process("sweep", "--zeta-grid", "0.5", *grids, "--duality-c", "-1")
         assert (code, out) == (2, "")
         assert err == "error: c must be > 0, got -1.0\n"
+
+
+def test_parser_reuse_matches_fresh_process(monkeypatch):
+    # main builds its parser once per process: in-process calls that
+    # alternate analyze, a malformed flag (exit 2), sweep and --help give,
+    # call by call, the bytes of a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("analyze", "--zeta", "0.5", "--omega-n", "2", "--format", "text"),
+        ("analyze", "--zeta", "0.5", "--omega-n", "2", "--horizon", "sometimes"),
+        ("sweep", "--zeta-grid", "0,0.5", "--omega-n-grid", "1,2", "--T-grid", "0.5,3"),
+        ("sweep", "--zeta-grid", "0.5", "--bogus"),
+        ("--help",),
+        ("sweep", "--help"),
+    ]
+    fresh = {args: run_cli(*args) for args in calls}
+    for args in calls + calls:
+        expected = (fresh[args].returncode, fresh[args].stdout, fresh[args].stderr)
+        assert run_in_process(*args) == expected, args
 
 
 class TestSynthesize:

@@ -3,7 +3,8 @@
 Every finite input ends in exit 0, 2, 3 or 4; a non-zero exit prints exactly
 one stderr line and exit 0 prints none; no floating-point warning fires on
 the way (warnings are escalated to errors here); and a successful run
-reports no NaN or infinity.
+reports no NaN or infinity.  A sweep ends exactly as analyze does over its
+points in table order.
 """
 
 import contextlib
@@ -18,19 +19,27 @@ from gramkit import cli
 # Half the draws come from a moderate range so successful runs, not only
 # rejected inputs, are exercised.
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.floats(min_value=0.01, max_value=100.0)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.floats(
+    min_value=0.01, max_value=100.0
+)
 contract = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
-def check_contract(argv):
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
-    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), (argv, err.getvalue())
+        code, out, err = run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert len(err.splitlines()) == (0 if code == 0 else 1), (argv, err)
     if code == 0:
-        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE), argv
+        assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
 
 
 @contract
@@ -56,6 +65,46 @@ def test_sweep(zeta, omega_n, T, c, kb):
     if T is not None:
         argv.append(f"--T-grid={T!r}")
     check_contract(argv + [f"--duality-c={c!r}", f"--kb={kb!r}"])
+
+
+def grid(values):
+    return sorted(set(values))
+
+
+@contract
+@given(
+    zetas=st.lists(finite, min_size=1, max_size=3).map(grid),
+    omegas=st.lists(finite, min_size=1, max_size=3).map(grid),
+    horizons=st.none() | st.lists(positive, min_size=1, max_size=3).map(grid),
+    c=finite,
+    kb=finite,
+)
+def test_sweep_ends_as_analyze_over_its_points(zetas, omegas, horizons, c, kb):
+    # A sweep ends as analyze --format csv over its points in table order
+    # (zeta outer, T inner): the first point that fails gives the sweep's
+    # exit code and stderr, and without one the sweep prints every row.
+    conventions = [f"--duality-c={c!r}", f"--kb={kb!r}"]
+    argv = ["sweep", "--zeta-grid=" + ",".join(map(repr, zetas)),
+            "--omega-n-grid=" + ",".join(map(repr, omegas)), *conventions]
+    if horizons is not None:
+        argv.append("--T-grid=" + ",".join(map(repr, horizons)))
+    sweep = run(argv)
+    lines = [",".join(cli.CSV_COLUMNS)]
+    for zeta in zetas:
+        for omega_n in omegas:
+            for T in horizons or [None]:
+                point = ["analyze", f"--zeta={zeta!r}", f"--omega-n={omega_n!r}",
+                         "--format=csv", *conventions]
+                if T is not None:
+                    point += ["--horizon=finite", f"--T={T!r}"]
+                code, out, err = run(point)
+                if code != 0:
+                    assert sweep == (code, "", err), (argv, point)
+                    return
+                header, row = out.splitlines()
+                assert header == lines[0]
+                lines.append(row)
+    assert sweep == (0, "\n".join(lines) + "\n", ""), argv
 
 
 @contract

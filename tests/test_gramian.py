@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -211,19 +212,42 @@ class TestFiniteHorizon:
         models = [osc_model(z, w) for z in (0.0, 0.3, 1.0, 2.5) for w in (0.4, 1.0, 7.0)]
         horizons = [0.0, 1e-8, 0.5, 3.0, 40.0, 1000.0]
         rows = [(m, T) for m in models for T in horizons]
-        stacked = list(gramian_mod._finite_horizon_gramians([m for m, _ in rows], [T for _, T in rows]))
-        for (model, T), gram in zip(rows, stacked):
+        stacked, failure = gramian_mod._finite_horizon_gramians([m for m, _ in rows], [T for _, T in rows])
+        assert failure is None and len(stacked) == len(rows)
+        for (model, T), W in zip(rows, stacked):
             single = finite_horizon_gramian(model, T)
-            assert np.array_equal(gram.matrix, single.matrix), (model.A, T)
-            assert gram.horizon == single.horizon and gram.method == single.method
+            assert np.array_equal(gramian_mod._symmetrize(W), single.matrix), (model.A, T)
+            assert single.horizon == Horizon.finite(T) and single.method == "augmented_expm"
 
     def test_stacked_failure_is_raised_at_its_row(self):
         # Rows before an out-of-range row are still produced.
         models = [osc_model(0.5, 1.0), osc_model(0.5, 1e-110), osc_model(0.5, 1.0)]
-        rows = gramian_mod._finite_horizon_gramians(models, [2.0, 1e300, 2.0])
-        assert np.array_equal(next(rows).matrix, finite_horizon_gramian(models[0], 2.0).matrix)
+        stacked, failure = gramian_mod._finite_horizon_gramians(models, [2.0, 1e300, 2.0])
+        assert len(stacked) == 1
+        W = gramian_mod._symmetrize(stacked[0])
+        assert np.array_equal(W, finite_horizon_gramian(models[0], 2.0).matrix)
         with pytest.raises(ArithmeticError, match="double range"):
-            next(rows)
+            raise failure
+
+    def test_unscalable_row_is_flagged_at_its_row(self):
+        # ||A|| T of the second row overflows: that row alone is refused, by
+        # its T, and the rows before it are still produced.  An overflowing
+        # ||B B^T|| is refused the same way, and neither warns.
+        models = [osc_model(0.5, 1.0), osc_model(0.5, 1e100), osc_model(0.5, 1.0)]
+        huge_b = StateSpaceModel(-np.eye(2), np.full((2, 1), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked, failure = gramian_mod._finite_horizon_gramians(models, [1e300, 1e300, 2.0])
+            with pytest.raises(ArithmeticError, match=r"^the Gramian over \[0, 1e\+300\] cannot be scaled"):
+                finite_horizon_gramian(models[1], 1e300)
+            with pytest.raises(ArithmeticError, match=r"^the Gramian over \[0, 1\.0\] cannot be scaled"):
+                finite_horizon_gramian(huge_b, 1.0)
+        assert len(stacked) == 1
+        W = gramian_mod._symmetrize(stacked[0])
+        assert np.array_equal(W, finite_horizon_gramian(models[0], 1e300).matrix)
+        assert str(failure) == (
+            "the Gramian over [0, 1e+300] cannot be scaled: ||A|| T or ||B B^T|| overflows"
+        )
 
     def test_quadrature_panel_cap(self, monkeypatch):
         monkeypatch.setattr(gramian_mod, "QUADRATURE_PANEL_CAP", 8)
@@ -286,6 +310,22 @@ class TestSpectrum:
             product = float(np.prod(spectrum.eigenvalues))
             assert product == pytest.approx(gramian_determinant(g), rel=1e-12, abs=1e-300)
             assert spectrum.trace == pytest.approx(spectrum.eigenvalues.sum(), rel=1e-12, abs=0.0)
+
+    def test_stacked_spectra_equal_single_calls(self):
+        # One stacked eigvalsh gives each row's eigenvalues, trace and
+        # condition number bit for bit as the per-matrix calls do.
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 5, 12):
+            root = rng.normal(size=(40, n, n))
+            W = root @ root.swapaxes(1, 2) * 10.0 ** rng.uniform(-300, 300, (40, 1, 1))
+            eigenvalues, trace, condition, flagged = gramian_mod._spectra(W)
+            for i, w in enumerate(W):
+                lam = np.linalg.eigvalsh(w)
+                lam_min, lam_max = float(lam[0]), float(lam[-1])
+                assert np.array_equal(eigenvalues[i], lam)
+                assert trace[i] == float(np.trace(w))
+                assert condition[i] == (math.inf if lam_min <= 0.0 else lam_max / lam_min)
+                assert flagged[i] == (lam_min <= gramian_mod.SPD_RATIO_FLOOR * lam_max)
 
     def test_flags_numerically_uncontrollable_direction(self):
         g = GramianResult(
@@ -371,6 +411,18 @@ class TestRangeFailures:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError):
                 finite_horizon_gramian(model, 1e308, "quadrature")
+
+    def test_stacked_determinants_equal_scalar_cofactor(self):
+        # The stacked cofactor determinant is the scalar formula row by row;
+        # a row out of range raises when it is reached, after the rows before.
+        rng = np.random.default_rng(11)
+        W = rng.uniform(-1.0, 1.0, (200, 2, 2)) * 10.0 ** rng.uniform(-70, 70, (200, 2, 2))
+        for w, det in zip(W.tolist(), gramian_mod._determinants(W)):
+            assert det == w[0][0] * w[1][1] - w[0][1] * w[1][0]
+        rows = gramian_mod._determinants(np.array([np.eye(2), np.diag([1e300, 1e10]), np.eye(2)]))
+        assert next(rows) == 1.0
+        with pytest.raises(OverflowError, match="overflows"):
+            next(rows)
 
     def test_lyapunov_determinant_range(self):
         # n > 2: det(W) of a positive definite W that underflows to 0 or
