@@ -21,12 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .energy import synthesize_min_energy_control, verify_control
-from .entropy import _entropy_chains, nats_to_bits
+from .entropy import _entropy_chain, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
 from .gramian import (
     GramianResult,
     _closed_form,
-    _determinants,
+    _cofactor_determinant,
+    _condition_number,
     _finite_horizon_gramians,
     _spectra,
     _symmetrize,
@@ -119,17 +120,19 @@ def _report_rows(points: list, W: np.ndarray, c: float, k_b: float) -> Iterator[
     number.
     """
     W = _symmetrize(W)
-    eigenvalues, trace, condition, _ = _spectra(W)
-    # zip draws each row's determinant and chain before the loop body runs.
-    chains = _entropy_chains(_determinants(W), 2, c, k_b)
-    for (params, kind, seconds), w, chain, lam, tr, cond in zip(
-        points, W.tolist(), chains, eigenvalues.tolist(), trace.tolist(), condition.tolist()
+    # A trace that overflows belongs to a row whose det(W) overflows, which
+    # raises before its trace is reported.
+    with np.errstate(over="ignore"):
+        eigenvalues, trace = _spectra(W)
+    for (params, kind, seconds), w, lam, tr in zip(
+        points, W.tolist(), eigenvalues.tolist(), trace.tolist()
     ):
+        det_wc, det_i, h, s, entropy_index = _entropy_chain(_cofactor_determinant(w), 2, c, k_b)
+        cond = _condition_number(lam[0], lam[-1])
         if cond == math.inf:
             raise ArithmeticError(
                 f"condition number of the Gramian is not finite (eigenvalues {lam})"
             )
-        det_wc, det_i, h, s, entropy_index = chain
         yield (params.zeta, params.omega_n, params.regime.value, kind, _fmt(seconds),
                w[0][0], w[0][1], w[1][1], det_wc, lam[0], lam[-1], tr, cond,
                det_i, h, s, entropy_index)

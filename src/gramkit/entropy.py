@@ -16,7 +16,6 @@ stored quantities never round-trip through bits.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +157,7 @@ def info_entropy_report(
     Works for any Gramian: n is read from ``gram.n``.  Raises
     ``ArithmeticError`` when det(W) <= 0, where c / det(W) is not finite.
     """
-    chains = _entropy_chains([gramian_determinant(gram)], gram.n, c, k_b)
-    det_wc, det_i, h, s, entropy_index = next(chains)
+    det_wc, det_i, h, s, entropy_index = _entropy_chain(gramian_determinant(gram), gram.n, c, k_b)
     return InfoEntropyReport(
         det_wc=det_wc,
         duality_constant=float(c),
@@ -171,18 +169,16 @@ def info_entropy_report(
     )
 
 
-def _entropy_chains(
-    dets: Iterable[float], n: int, c: float, k_b: float
-) -> Iterator[tuple[float, float, float, float, float]]:
-    """(det(W), det(I), H, S, ln det(W)) for each determinant of n x n
-    Gramians in turn.
+def _entropy_chain(
+    det_wc: float, n: int, c: float, k_b: float
+) -> tuple[float, float, float, float, float]:
+    """(det(W), det(I), H, S, ln det(W)) for the determinant of an n x n Gramian.
 
-    A determinant that fails raises when it is reached, at its first failing
-    check in the order: det(W) > 0, c, the det(I) range, k_B, the S range.
+    Raises at the first failing check, in the order: det(W) > 0, c, the
+    det(I) range, k_B, the S range.
     """
-    for det_wc in dets:
-        if not det_wc > 0.0:
-            raise ArithmeticError(f"det(W) = {det_wc} is not positive, so c / det(W) is not finite")
-        det_i = fisher_dual_determinant(det_wc, c)
-        h = gaussian_entropy_from_fim(det_i, n)
-        yield det_wc, det_i, h, thermodynamic_entropy(h, k_b), math.log(det_wc)
+    if not det_wc > 0.0:
+        raise ArithmeticError(f"det(W) = {det_wc} is not positive, so c / det(W) is not finite")
+    det_i = fisher_dual_determinant(det_wc, c)
+    h = gaussian_entropy_from_fim(det_i, n)
+    return det_wc, det_i, h, thermodynamic_entropy(h, k_b), math.log(det_wc)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +97,10 @@ class GramianResult:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        # _symmetrize returns a new array, so it is frozen in place.
         W = _symmetrize(_require_square("Gramian", self.matrix))
-        object.__setattr__(self, "matrix", _readonly(W))
+        W.setflags(write=False)
+        object.__setattr__(self, "matrix", W)
 
     @property
     def n(self) -> int:
@@ -188,8 +190,9 @@ def _augmented_expm_gramian(
         M[:, :n, n:] = np.ldexp(Q, -c[:, None, None])
         M[:, n:, n:] = A.swapaxes(1, 2)
         M *= h[:, None, None]
-    unscaled = ~(np.isfinite(step) & np.isfinite(q))
-    M[unscaled] = 0.0
+    unscaled = ~np.isfinite(np.maximum(step, q))  # NaN propagates through maximum
+    if np.count_nonzero(unscaled):
+        M[unscaled] = 0.0
     order = (-d).argsort(kind="stable")
     M, d = M[order], d[order]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,24 +256,24 @@ def _finite_horizon_gramians(
 ) -> tuple[np.ndarray, ArithmeticError | None]:
     """Augmented-expm Gramians of (model, T) rows from one stacked kernel call.
 
-    The models must share their shapes.  Returns the Gramians, not yet
+    The models must share their shapes, and the horizons are finite floats
+    >= 0, as the callers validate them.  Returns the Gramians, not yet
     symmetrized, of the rows before the first row that fails, in row order,
     and that row's ``ArithmeticError`` (None when no row fails): its kernel
     step cannot be scaled, or its Gramian leaves the double range.
     """
-    T = [_require_nonnegative("T", t) for t in horizons]
     A = np.array([model.A for model in models])
     B = np.array([model.B for model in models])
-    W, unscaled, lost = _augmented_expm_gramian(A, B, np.array(T))
+    W, unscaled, lost = _augmented_expm_gramian(A, B, np.array(horizons, dtype=float))
     failed = unscaled | lost
-    if not failed.any():
+    if not np.count_nonzero(failed):
         return W, None
     i = int(failed.argmax())
     if unscaled[i]:
         reason = "cannot be scaled: ||A|| T or ||B B^T|| overflows"
     else:
         reason = "leaves the double range"
-    return W[:i], ArithmeticError(f"the Gramian over [0, {T[i]}] {reason}")
+    return W[:i], ArithmeticError(f"the Gramian over [0, {horizons[i]}] {reason}")
 
 
 def finite_horizon_gramian(
@@ -408,27 +411,23 @@ def gramian_determinant(g: GramianResult) -> float:
         return det
     if g.n == 1:
         return float(g.matrix[0, 0])
-    return next(_determinants(g.matrix[None]))
+    return _cofactor_determinant(g.matrix.tolist())
 
 
-def _determinants(W: np.ndarray) -> Iterator[float]:
-    """Cofactor determinants of a (k, 2, 2) stack, in row order.
+def _cofactor_determinant(W: list[list[float]]) -> float:
+    """Cofactor det(W) of a 2x2 matrix given as nested lists of floats.
 
-    A row whose det(W) overflows raises ``OverflowError``, and one where the
-    product of two nonzero diagonal entries falls below the normal double
-    range raises ``ArithmeticError``, when it is reached.
+    Raises ``OverflowError`` when det(W) overflows, and ``ArithmeticError``
+    when the product of two nonzero diagonal entries falls below the normal
+    double range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = W[:, 0, 0] * W[:, 1, 1]
-        det = diagonal - W[:, 0, 1] * W[:, 1, 0]
-    overflow = ~np.isfinite(det)
-    underflow = (W[:, 0, 0] != 0.0) & (W[:, 1, 1] != 0.0) & (np.abs(diagonal) < sys.float_info.min)
-    for w, d, over, under in zip(W, det.tolist(), overflow.tolist(), underflow.tolist()):
-        if over:
-            raise OverflowError(f"Gramian determinant overflows (entries {w.tolist()})")
-        if under:
-            raise ArithmeticError(f"Gramian determinant underflows (entries {w.tolist()})")
-        yield d
+    diagonal = W[0][0] * W[1][1]
+    det = diagonal - W[0][1] * W[1][0]
+    if not math.isfinite(det):
+        raise OverflowError(f"Gramian determinant overflows (entries {W})")
+    if W[0][0] and W[1][1] and abs(diagonal) < sys.float_info.min:
+        raise ArithmeticError(f"Gramian determinant underflows (entries {W})")
+    return det
 
 
 @dataclass(frozen=True)
@@ -450,23 +449,22 @@ class GramianSpectrum:
 
 def gramian_spectrum(g: GramianResult) -> GramianSpectrum:
     """Symmetric eigendecomposition summary of a Gramian."""
-    eigenvalues, trace, condition, flagged = _spectra(g.matrix[None])
+    eigenvalues, trace = _spectra(g.matrix)
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     return GramianSpectrum(
-        eigenvalues=eigenvalues[0],
-        trace=float(trace[0]),
-        condition_number=float(condition[0]),
-        uncontrollable_direction=bool(flagged[0]),
+        eigenvalues=eigenvalues,
+        trace=float(trace),
+        condition_number=_condition_number(lam_min, lam_max),
+        uncontrollable_direction=lam_min <= SPD_RATIO_FLOOR * lam_max,
     )
 
 
-def _spectra(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues (k, n) ascending, trace, condition number (inf when
-    lambda_min <= 0) and the ``SPD_RATIO_FLOOR`` flag of a (k, n, n) stack of
-    symmetric matrices."""
-    eigenvalues = np.linalg.eigvalsh(W)
-    lam_min, lam_max = eigenvalues[:, 0], eigenvalues[:, -1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        condition = lam_max / lam_min
-    condition[lam_min <= 0.0] = math.inf
-    flagged = lam_min <= SPD_RATIO_FLOOR * lam_max
-    return eigenvalues, W.trace(axis1=1, axis2=2), condition, flagged
+def _spectra(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and trace of a symmetric matrix, or of each
+    matrix in a (k, n, n) stack."""
+    return np.linalg.eigvalsh(W), W.trace(axis1=-2, axis2=-1)
+
+
+def _condition_number(lam_min: float, lam_max: float) -> float:
+    """lambda_max / lambda_min, or inf when lambda_min <= 0."""
+    return math.inf if lam_min <= 0.0 else lam_max / lam_min

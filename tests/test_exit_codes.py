@@ -12,6 +12,7 @@ import io
 import re
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gramkit import cli
@@ -40,6 +41,7 @@ def check_contract(argv):
     assert len(err.splitlines()) == (0 if code == 0 else 1), (argv, err)
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), argv
+    return code, err
 
 
 @contract
@@ -65,6 +67,21 @@ def test_sweep(zeta, omega_n, T, c, kb):
     if T is not None:
         argv.append(f"--T-grid={T!r}")
     check_contract(argv + [f"--duality-c={c!r}", f"--kb={kb!r}"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["analyze", "--zeta=2e-309", "--omega-n=1", f"--format={fmt}"], 3) for fmt in ("json", "csv", "text")]
+    + [
+        (["sweep", "--zeta-grid=0,2e-309", "--omega-n-grid=1"], 3),
+        (["sweep", "--zeta-grid=0,2e-309", "--omega-n-grid=1", "--duality-c=-1"], 2),
+    ],
+)
+def test_overflowing_trace_does_not_warn(argv, code):
+    # Point (2e-309, 1) has W = diag(1.25e308, 1.25e308), whose trace
+    # overflows as its det(W) does; only the determinant's error is reported,
+    # and in the sweep with --duality-c=-1 only row 0's error.
+    assert check_contract(argv)[0] == code
 
 
 def grid(values):

@@ -38,6 +38,8 @@ TRIPLES = [
     ("1e150", "1", "1e-150"),
     ("1e-300", "1e-300", "1e300"),
 ]
+# Points whose trace overflows along with det(W).
+RANGE_POINTS = [["--zeta", "2e-309", "--omega-n", "1"]]
 # Sweeps that fail after their first row, each run as is and with --duality-c -1,
 # which makes the first row fail instead.
 FAILING_SWEEPS = [
@@ -60,6 +62,8 @@ FAILING_SWEEPS = [
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e10", "--kb", "1e307"],
     # condition number
     ["--zeta-grid", "1e132", "--omega-n-grid", "5e-133", "--T-grid", "1,1.79e308"],
+    # det(W) and the trace of row 1 overflow
+    ["--zeta-grid", "0,2e-309", "--omega-n-grid", "1"],
 ]
 LARGE_SWEEP = [
     "--zeta-grid", "0,0.05,0.1,0.3,0.5,0.7,0.9,1,1.5,3",
@@ -85,6 +89,8 @@ def corpus() -> list[list[str]]:
         for m, c, k in TRIPLES:
             for horizon in ([], ["--horizon", "finite", "--T", "3"]):
                 runs.append(["analyze", "--m", m, "--c", c, "--k", k, *horizon, "--format", fmt])
+        for point in RANGE_POINTS:
+            runs.append(["analyze", *point, "--format", fmt])
     runs.append(["analyze", "--zeta", "0.5", "--omega-n", "2", "--out", OUT])
     for grids in FAILING_SWEEPS:
         runs.append(["sweep", *grids])
