@@ -120,10 +120,9 @@ def _report_rows(points: list, W: np.ndarray, c: float, k_b: float) -> Iterator[
     number.
     """
     W = _symmetrize(W)
-    # A trace that overflows belongs to a row whose det(W) overflows, which
-    # raises before its trace is reported.
-    with np.errstate(over="ignore"):
-        eigenvalues, trace = _spectra(W)
+    # A trace that overflows (inf) belongs to a row whose det(W) overflows,
+    # which raises before its trace is reported.
+    eigenvalues, trace = _spectra(W)
     for (params, kind, seconds), w, lam, tr in zip(
         points, W.tolist(), eigenvalues.tolist(), trace.tolist()
     ):

@@ -35,6 +35,12 @@ HURWITZ_THRESHOLD = -1e-12
 QUADRATURE_TOL = 1e-10
 QUADRATURE_PANEL_CAP = 2 ** 20
 
+# Newton sign iteration of the Lyapunov solve: determinantally scaled steps,
+# the relative 1-norm step at which it has converged, and the step cap.
+SIGN_SCALED_STEPS = 6
+SIGN_TOL = 1e-13
+SIGN_STEP_CAP = 100
+
 # lambda_min / lambda_max at or below this marks a numerically uncontrollable
 # direction: flagged by gramian_spectrum, refused by the minimum-energy solve.
 SPD_RATIO_FLOOR = 1e-14
@@ -317,21 +323,29 @@ def finite_horizon_gramian(
 def infinite_horizon_gramian_lyapunov(model: StateSpaceModel) -> GramianResult:
     """Infinite-horizon Gramian as the solution of A W + W A^T = -B B^T.
 
-    Solved directly (LU) on the n(n+1)/2 unknowns W_kl, k <= l, of the
-    symmetric solution: row (p, q), p <= q, of the operator is
-    sum_k A_pk W_kq + A_qk W_pk, scattered onto the column of each
-    unknown.  Both triangles of W are filled from the one solution, so W is
-    exactly symmetric.  The Frobenius residual of the solve is recorded on
-    the result.
+    Solved by the Newton iteration for the matrix sign function (Roberts,
+    Int. J. Control 32, 1980) on [[A, Q], [0, -A^T]], Q = B B^T, whose sign
+    is [[-I, 2W], [0, I]] for a Hurwitz A.  Only A is iterated,
+    A <- (c A + A^-1 / c) / 2, with determinantal scaling (Byers, Linear
+    Algebra Appl. 85, 1987) for the first steps; the Q block follows
+    Q <- (c Q + A^-1 Q A^-T / c) / 2, which is linear in Q, so the stored
+    (c, A^-1) of each step give W = L(Q) by matmuls alone.  One refinement
+    step W <- W + L(A W + W A^T + Q) through the same steps brings the
+    residual to the order of unit roundoff even for slowly decaying modes.
+    W is then symmetrized, and the Frobenius residual of that W is recorded
+    on the result.
 
     Raises
     ------
     NonHurwitzError
         If any eigenvalue of A has real part >= ``HURWITZ_THRESHOLD``; the
         defining integral does not converge for such systems.
+    ArithmeticError
+        If a sign iterate or W leaves the double range (``OverflowError``
+        for W), or the iteration does not converge within
+        ``SIGN_STEP_CAP`` steps.
     """
-    A, B = model.A, model.B
-    n = model.n
+    A = model.A
     real_parts = np.linalg.eigvals(A).real
     if real_parts.max() >= HURWITZ_THRESHOLD:
         raise NonHurwitzError(
@@ -339,22 +353,53 @@ def infinite_horizon_gramian_lyapunov(model: StateSpaceModel) -> GramianResult:
             f"(max eigenvalue real part {real_parts.max():.3e}); "
             "the infinite-horizon Gramian does not exist"
         )
-    Q = B @ B.T
-    p, q = np.triu_indices(n)
-    m = p.size
-    # idx[k, l] = idx[l, k] is the unknown holding W_kl.
-    idx = np.empty((n, n), dtype=np.intp)
-    idx[p, q] = idx[q, p] = np.arange(m)
-    # Row (p, q): A_pk at the column of W_kq, A_qk at the column of W_pk.
-    cols = np.concatenate([idx[:, q].T, idx[p]], axis=1)
-    cols += np.arange(0, m * m, m)[:, None]
-    values = np.concatenate([A[p], A[q]], axis=1)
-    coeff = np.bincount(cols.ravel(), weights=values.ravel(), minlength=m * m)
-    W = np.linalg.solve(coeff.reshape(m, m), -Q[p, q])[idx]
-    residual = float(np.linalg.norm(A @ W + W @ A.T + Q, "fro"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _sign_steps(A)
+        Q = model.B @ model.B.T
+        W = _replay(steps, Q)
+        W = _symmetrize(W + _replay(steps, A @ W + W @ A.T + Q))
+        if not np.isfinite(W).all():
+            raise OverflowError("the Lyapunov Gramian leaves the double range")
+        residual = float(np.linalg.norm(A @ W + W @ A.T + Q, "fro"))
     return GramianResult(
         matrix=W, horizon=Horizon.infinite(), method="lyapunov", residual=residual
     )
+
+
+def _sign_steps(A: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
+    """(c_k, 2**e_k A_k^-1, 4**e_k c_k) of each Newton step
+    A_{k+1} = (c_k A_k + A_k^-1 / c_k) / 2 towards sign(A) = -I of a Hurwitz A.
+
+    c_k = |det A_k|^(-1/n) for the first ``SIGN_SCALED_STEPS`` steps and 1
+    after them.  The iteration stops once a step moves A_k by at most
+    ``SIGN_TOL`` relative in the 1-norm, after at least two steps.  The
+    power of two 2**e_k ~ c_k^(-1/2) keeps A^-1 Q A^-T from underflowing
+    where c_k is small, as for A = -1e300 I, and changes no rounding.
+    """
+    n = A.shape[0]
+    steps = []
+    for k in range(SIGN_STEP_CAP):
+        inv = np.linalg.inv(A)
+        c = math.exp(-np.linalg.slogdet(A)[1] / n) if k < SIGN_SCALED_STEPS else 1.0
+        e = -math.frexp(c)[1] // 2
+        steps.append((c, inv * 2.0**e, math.ldexp(c, 2 * e)))
+        A_next = 0.5 * (c * A + inv / c)
+        size = _norm1(A_next)  # inf or NaN when an entry is
+        if not math.isfinite(size):
+            raise ArithmeticError(f"sign iterate {k + 1} of A leaves the double range")
+        if k and _norm1(A_next - A) <= SIGN_TOL * size:
+            return steps
+        A = A_next
+    raise ArithmeticError(f"sign iteration of A did not converge in {SIGN_STEP_CAP} steps")
+
+
+def _replay(steps: list[tuple[float, np.ndarray, float]], X: np.ndarray) -> np.ndarray:
+    """L(X), the solution W of A W + W A^T = -X, by the Q recurrence
+    X <- (c X + A^-1 X A^-T / c) / 2 of the stored sign steps: W is half
+    its limit."""
+    for c, S, scaled_c in steps:
+        X = 0.5 * (c * X + S @ X @ S.T / scaled_c)
+    return 0.5 * X
 
 
 def oscillator_gramian_closed_form(params: OscillatorParams) -> GramianResult:
@@ -461,8 +506,10 @@ def gramian_spectrum(g: GramianResult) -> GramianSpectrum:
 
 def _spectra(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and trace of a symmetric matrix, or of each
-    matrix in a (k, n, n) stack."""
-    return np.linalg.eigvalsh(W), W.trace(axis1=-2, axis2=-1)
+    matrix in a (k, n, n) stack.  A trace that overflows is inf, without a
+    warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.eigvalsh(W), W.trace(axis1=-2, axis2=-1)
 
 
 def _condition_number(lam_min: float, lam_max: float) -> float:

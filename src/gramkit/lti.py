@@ -281,8 +281,9 @@ _THETA13 = 5.371920351148152
 
 
 def _norm1(M: np.ndarray) -> np.ndarray:
-    """1-norm (largest absolute column sum) of each matrix in a stack."""
-    return np.maximum.reduce(np.add.reduce(np.abs(M), 1), 1)
+    """1-norm (largest absolute column sum) of a matrix, or of each matrix in
+    a stack."""
+    return np.maximum.reduce(np.add.reduce(np.abs(M), -2), -1)
 
 
 def _expm_stack(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import gramkit.gramian as gramian_mod
 from gramkit.errors import NonHurwitzError, QuadratureConvergenceError
@@ -127,9 +129,19 @@ class TestLyapunov:
         assert g.residual <= 1e-12 * scale
         assert g.residual == np.linalg.norm(A @ W + W @ A.T + Q)
 
+    @pytest.mark.parametrize("s", [1e-10, 1e300])
+    def test_time_scaling(self, s):
+        # A -> s A gives W -> W / s.  At s = 1e300 the first A^-1 Q A^-T is
+        # about 1e-600 and underflows, while W stays near 1e-300.
+        model = random_hurwitz(3, -0.5)
+        W = infinite_horizon_gramian_lyapunov(model).matrix
+        scaled = infinite_horizon_gramian_lyapunov(StateSpaceModel(A=s * model.A, B=model.B))
+        np.testing.assert_allclose(scaled.matrix, W / s, rtol=1e-12, atol=0.0)
+
     def test_peak_allocation_at_n30(self):
-        # The n^2 x n^2 Kronecker operator alone is 6.5 MB at n = 30; the
-        # symmetric operator on the n(n+1)/2 unknowns is 1.7 MB.
+        # The n^2 x n^2 Kronecker operator alone is 6.5 MB at n = 30.  The
+        # sign iteration keeps one n x n inverse per step (7.2 kB each, 7
+        # steps here) and replays them twice: the solve and its refinement.
         model = random_hurwitz(30, -0.5)
         tracemalloc.start()
         try:
@@ -138,6 +150,64 @@ class TestLyapunov:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        log_abscissa=st.floats(min_value=-6.0, max_value=0.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_sign_solve_on_random_hurwitz(self, n, log_abscissa, seed):
+        # The slowest mode decays at rate `abscissa`, so W and its
+        # sensitivity to roundoff both grow like 1 / abscissa.
+        abscissa = 10.0**log_abscissa
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, n)) / np.sqrt(n)
+        A = G - (np.linalg.eigvals(G).real.max() + abscissa) * np.eye(n)
+        B = rng.standard_normal((n, max(1, n // 2)))
+        Q = B @ B.T
+        g = infinite_horizon_gramian_lyapunov(StateSpaceModel(A=A, B=B))
+        W = g.matrix
+        assert np.array_equal(W, W.T)
+        scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(W) + np.linalg.norm(Q)
+        assert g.residual <= 1e-12 * scale
+        reference = scipy.linalg.solve_continuous_lyapunov(A, -Q)
+        assert np.linalg.norm(W - reference) <= 1e-12 * np.linalg.norm(reference) / abscissa
+
+    def test_oscillator_grid_matches_closed_form(self):
+        # Entry (i, j) is compared on the scale sqrt(W_ii W_jj) of the
+        # closed form, so the small diagonal entry counts as the large one.
+        worst = 0.0
+        for zeta in 10.0 ** np.arange(-6, 4):
+            for omega_n in 10.0 ** np.arange(-3, 4):
+                params = OscillatorParams(float(zeta), float(omega_n))
+                W = infinite_horizon_gramian_lyapunov(make_oscillator(params)).matrix
+                expected = oscillator_gramian_closed_form(params).matrix
+                d = np.sqrt(np.diag(expected))
+                worst = max(worst, float((np.abs(W - expected) / np.outer(d, d)).max()))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize(
+        "A, B, error",
+        [
+            # Q = B B^T overflows, so W does.
+            pytest.param(-np.eye(3), 1e160 * np.eye(3), OverflowError, id="Q-overflows"),
+            # The first inverse holds -1e300 / 1e-22.
+            pytest.param(np.array([[-1e-11, 1e300], [0.0, -1e-11]]), np.ones((2, 1)),
+                         ArithmeticError, id="iterate-overflows"),
+        ],
+    )
+    def test_range_failure_is_arithmetic_error(self, A, B, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="double range"):
+                infinite_horizon_gramian_lyapunov(StateSpaceModel(A=A, B=B))
+
+    def test_step_cap_is_arithmetic_error(self, monkeypatch):
+        # random_hurwitz(12, -1e-4) needs 17 sign steps.
+        monkeypatch.setattr(gramian_mod, "SIGN_STEP_CAP", 10)
+        with pytest.raises(ArithmeticError, match="did not converge in 10 steps"):
+            infinite_horizon_gramian_lyapunov(random_hurwitz(12, -1e-4))
 
 
 class TestFiniteHorizon:
@@ -309,6 +379,14 @@ class TestSpectrum:
             product = float(np.prod(spectrum.eigenvalues))
             assert product == pytest.approx(gramian_determinant(g), rel=1e-12, abs=1e-300)
             assert spectrum.trace == pytest.approx(spectrum.eigenvalues.sum(), rel=1e-12, abs=0.0)
+
+    def test_overflowing_trace_is_inf_without_warning(self):
+        g = GramianResult(np.diag([1.2e308, 1.2e308]), Horizon.infinite(), "lyapunov")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectrum = gramian_spectrum(g)
+        assert spectrum.trace == math.inf
+        assert spectrum.eigenvalues.tolist() == [1.2e308, 1.2e308]
 
     def test_stacked_spectra_equal_single_calls(self):
         # One stacked eigvalsh gives each row's eigenvalues and trace bit for
