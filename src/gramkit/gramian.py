@@ -220,41 +220,69 @@ def _adaptive_simpson_gramian(
 ) -> np.ndarray:
     """Adaptive Simpson on the Gramian integrand, entrywise tolerance.
 
-    Level-synchronous: the panels still open at one bisection level share
-    their tolerance and remaining forced depth, so one batched integrand
-    call refines them all.  The forced minimum depth guards against
-    spuriously small error estimates on the oscillatory integrand.
+    Level-synchronous: a panel (a, m, b) with Simpson estimate ``whole`` is
+    bisected at lm and rm, and it finishes when its two halves differ from
+    ``whole`` by at most 15 tol; the panels still open at one level share
+    their tol, halved per level, so one batched integrand call refines them
+    all.  No panel may finish before the seventh bisection, a forced depth
+    that guards against spuriously small error estimates on the oscillatory
+    integrand.  The six forced levels therefore leave 64 panels of [0, T]
+    (126 panels counted against ``panel_cap``), and those panels with their
+    lm and rm form one grid of 257 nodes, evaluated in one integrand call.
+    Panels are kept left halves first at every level, and the finished ones
+    are summed in that order.
     """
 
     def f(t: np.ndarray) -> np.ndarray:
         col = matrix_exponential(A, t) @ B
         return col @ col.swapaxes(-1, -2)
 
-    # Open panels: nodes (a, mid, b), the integrand there, Simpson estimate.
-    x = np.array([[0.0, 0.5 * T, T]])
-    fx = f(x)
-    whole = (T / 6.0) * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
-    total, panels, depth = 0.0, 0, 6
-    while len(x):
-        # Bisect every panel into nodes (a, lm, mid, rm, b).
-        x5 = np.insert(x, [1, 2], 0.5 * (x[:, :-1] + x[:, 1:]), axis=1)
-        f5 = np.insert(fx, [1, 2], f(x5[:, 1::2]), axis=1)
-        width = (x5[:, 2::2] - x5[:, :3:2]) / 6.0
-        halves = width[..., None, None] * (f5[:, :3:2] + 4.0 * f5[:, 1::2] + f5[:, 2::2])
-        err = halves[:, 0] + halves[:, 1] - whole
-        done = (np.abs(err).max(axis=(1, 2)) <= 15.0 * tol) & (depth <= 0)
-        total = total + np.sum((halves[:, 0] + halves[:, 1] + err / 15.0)[done], axis=0)
+    # Midpoints are 0.5 (a + b).  Above T = 1 they are formed as
+    # 0.5 a + 0.5 b: halving those nodes is exact, so the bits are the same,
+    # and no sum next to a T near the largest double overflows.  Below it the
+    # halves of subnormal nodes would round, so the sum comes first there.
+    g, h = (0.5, 1.0) if T > 1.0 else (1.0, 0.5)
+
+    def midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return h * (g * a + g * b)
+
+    t = np.array([0.0, T])
+    for _ in range(8):
+        grid = np.empty(2 * len(t) - 1)
+        grid[::2], grid[1::2] = t, midpoints(t[:-1], t[1:])
+        t = grid
+    ft = f(t)
+    # Positions of the 64 panels in the order the forced levels leave them,
+    # left halves first.
+    first = np.zeros(1, dtype=np.intp)
+    for _ in range(6):
+        first = np.concatenate([2 * first, 2 * first + 1])
+    # Open panels: nodes a, lm, m, rm, b and the integrand there.
+    a, lm, m, rm, b = (t[4 * first + i] for i in range(5))
+    fa, flm, fm, frm, fb = (ft[4 * first + i] for i in range(5))
+    whole = ((b - a) / 6.0)[:, None, None] * (fa + 4.0 * fm + fb)
+    total, panels, tol = 0.0, 126, tol / 2 ** 6
+    while True:
+        left = ((m - a) / 6.0)[:, None, None] * (fa + 4.0 * flm + fm)
+        right = ((b - m) / 6.0)[:, None, None] * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        done = np.abs(err).max(axis=(1, 2)) <= 15.0 * tol
+        total = total + np.sum((left + right + err / 15.0)[done], axis=0)
         keep = ~done
         panels += 2 * int(np.count_nonzero(keep))
         if panels > panel_cap:
             raise QuadratureConvergenceError(
                 f"adaptive Simpson exceeded {panel_cap} panels on [0, {T}]"
             )
-        x = np.concatenate([x5[keep, :3], x5[keep, 2:]])
-        fx = np.concatenate([f5[keep, :3], f5[keep, 2:]])
-        whole = np.concatenate([halves[keep, 0], halves[keep, 1]])
-        tol, depth = 0.5 * tol, depth - 1
-    return total
+        if not keep.any():
+            return total
+        # Left halves (a, lm, m) first, then right halves (m, rm, b).
+        a, m, b = (np.concatenate([u[keep], v[keep]]) for u, v in ((a, m), (lm, rm), (m, b)))
+        fa, fm, fb = (np.concatenate([u[keep], v[keep]]) for u, v in ((fa, fm), (flm, frm), (fm, fb)))
+        whole = np.concatenate([left[keep], right[keep]])
+        lm, rm = midpoints(a, m), midpoints(m, b)
+        flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
+        tol = 0.5 * tol
 
 
 def _finite_horizon_gramians(

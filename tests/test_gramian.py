@@ -485,6 +485,14 @@ class TestRangeFailures:
             with pytest.raises(ArithmeticError):
                 finite_horizon_gramian(model, 1e308, "quadrature")
 
+    def test_quadrature_nodes_stay_finite_at_huge_horizon(self):
+        # 0.5 * (mid + T) would overflow next to T = 1e308; the nodes stay
+        # finite and the non-convergence is refused as documented.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureConvergenceError, match="panels"):
+                finite_horizon_gramian(osc_model(0.5, 1.0), 1e308, "quadrature")
+
     def test_lyapunov_determinant_range(self):
         # n > 2: det(W) of a positive definite W that underflows to 0 or
         # overflows to inf is a range failure, raised without a warning.
@@ -575,3 +583,104 @@ class TestLevelSynchronousSimpson:
         got = gramian_mod._adaptive_simpson_gramian(A, B, T, tol, 2 ** 20)
         assert sorted(nodes) == sorted(reference_nodes)
         np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+    # Adaptive Simpson Gramians as float.hex, from the scheme that evaluated
+    # each forced bisection level in its own integrand call: oscillators
+    # with omega_n = 1 keyed by (zeta, T), a 3 x 3 system at T = 2 and the
+    # oscillator (0.3, 1) at T = 1e-300.
+    PINNED_BITS = {
+        (0.0, 1.0): [
+            ["0x1.173848a9725dep-2", "0x1.6a88995d4dc7bp-2"],
+            ["0x1.6a88995d4dc7bp-2", "0x1.7463dbab46d0fp-1"],
+        ],
+        (0.0, 2.0): [
+            ["0x1.306f73bbb83d6p+0", "0x1.a7553036d9259p-2"],
+            ["0x1.a7553036d9259p-2", "0x1.9f2118888f856p-1"],
+        ],
+        (0.0, 7.3): [
+            ["0x1.b691121a9039cp+1", "0x1.724cd576c616fp-2"],
+            ["0x1.724cd576c616fp-2", "0x1.efd5544bd62cfp+1"],
+        ],
+        (0.3, 1.0): [
+            ["0x1.70c60992e6e44p-3", "0x1.9ae827e5693b6p-3"],
+            ["0x1.9ae827e5693b6p-3", "0x1.ce5e89e5abf76p-2"],
+        ],
+        (0.3, 2.0): [
+            ["0x1.2cbf241bca64ap-1", "0x1.2dda452d5cdd4p-3"],
+            ["0x1.2dda452d5cdd4p-3", "0x1.f4945827b1a7ep-2"],
+        ],
+        (0.3, 7.3): [
+            ["0x1.a34296f0ea4eap-1", "0x1.6527b99406820p-9"],
+            ["0x1.6527b99406820p-9", "0x1.a68c3e88a4d35p-1"],
+        ],
+        (1.0, 1.0): [
+            ["0x1.4b15566a13bb2p-4", "0x1.152aaa3bf8183p-4"],
+            ["0x1.152aaa3bf8183p-4", "0x1.bab5557101fc2p-3"],
+        ],
+        (1.0, 2.0): [
+            ["0x1.861752d327f5dp-3", "0x1.2c155b8213b9cp-5"],
+            ["0x1.2c155b8213b9cp-5", "0x1.d11ca9b3acf2ap-3"],
+        ],
+        (1.0, 7.3): [
+            ["0x1.fff8b119992b4p-3", "0x1.9801727991000p-17"],
+            ["0x1.9801727991000p-17", "0x1.fffa703abeefap-3"],
+        ],
+        (1.5, 1.0): [
+            ["0x1.a2fbe95518e21p-5", "0x1.306596cdbeccfp-5"],
+            ["0x1.306596cdbeccfp-5", "0x1.3ba2937f57187p-3"],
+        ],
+        (1.5, 2.0): [
+            ["0x1.c351725dc09a4p-4", "0x1.5b746343ffa37p-6"],
+            ["0x1.5b746343ffa37p-6", "0x1.45051ac388e40p-3"],
+        ],
+        (1.5, 7.3): [
+            ["0x1.534dccc5ac7cep-3", "0x1.8ce360174ebc0p-12"],
+            ["0x1.8ce360174ebc0p-12", "0x1.550988d1539cdp-3"],
+        ],
+        "general_3x3": [
+            ["0x1.91aefc5372d67p+1", "0x1.8fa630e51907dp+0", "0x1.354715a52161dp-1"],
+            ["0x1.8fa630e51907dp+0", "0x1.c43a330b73b73p-1", "0x1.a90f754ced135p-2"],
+            ["0x1.354715a52161dp-1", "0x1.a90f754ced135p-2", "0x1.ffd407bdf7e29p-3"],
+        ],
+        "tiny_T": [
+            ["0x0.0p+0", "0x0.0p+0"],
+            ["0x0.0p+0", "0x1.56e1fc2f8f359p-997"],
+        ],
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED_BITS), ids=str)
+    def test_pinned_bits(self, case):
+        if case == "general_3x3":
+            A3 = np.array([[-1.0, 2.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -2.0]])
+            model, T = StateSpaceModel(A3, np.ones((3, 1))), 2.0
+        elif case == "tiny_T":
+            model, T = osc_model(0.3, 1.0), 1e-300
+        else:
+            model, T = osc_model(case[0], 1.0), case[1]
+        expected = np.array([[float.fromhex(h) for h in row] for row in self.PINNED_BITS[case]])
+        assert np.array_equal(finite_horizon_gramian(model, T, "quadrature").matrix, expected)
+
+    def test_forced_levels_take_one_integrand_call(self, monkeypatch):
+        # The six forced levels and the first adaptive one share a call;
+        # evaluated level by level, this case took 10 calls.
+        calls = []
+        kernel = gramian_mod.matrix_exponential
+
+        def counting_kernel(A, t):
+            calls.append(np.size(t))
+            return kernel(A, t)
+
+        monkeypatch.setattr(gramian_mod, "matrix_exponential", counting_kernel)
+        finite_horizon_gramian(osc_model(0.3, 2.0), 2.0, "quadrature")
+        assert calls[0] == 257
+        assert len(calls) <= 4
+
+    def test_forced_panels_count_against_the_cap(self, monkeypatch):
+        # 126 panels of the forced levels and 204 adaptive ones: the cap
+        # boundary sits exactly at their sum.
+        model = osc_model(0.3, 2.0)
+        monkeypatch.setattr(gramian_mod, "QUADRATURE_PANEL_CAP", 330)
+        finite_horizon_gramian(model, 2.0, "quadrature")
+        monkeypatch.setattr(gramian_mod, "QUADRATURE_PANEL_CAP", 329)
+        with pytest.raises(QuadratureConvergenceError, match="exceeded 329 panels"):
+            finite_horizon_gramian(model, 2.0, "quadrature")
