@@ -34,7 +34,8 @@ from .gramian import (
     finite_horizon_gramian,
     oscillator_gramian_closed_form,
 )
-from .lti import OscillatorParams, StateSpaceModel, _require_positive, make_oscillator
+from .lti import OscillatorParams, StateSpaceModel, make_oscillator
+from .lti import _oscillator_entries, _require_positive
 
 SCHEMA_VERSION = 1
 
@@ -108,33 +109,31 @@ def _params_from_args(args: argparse.Namespace) -> OscillatorParams:
     return OscillatorParams(zeta=args.zeta, omega_n=args.omega_n)
 
 
-def _report_rows(points: list, W: np.ndarray, c: float, k_b: float) -> Iterator[tuple]:
+def _report_rows(leads: list, W: np.ndarray, c: float, k_b: float) -> Iterator[tuple]:
     """The CSV cells of each report row, from one pass over its Gramians.
 
-    ``points`` holds (params, horizon kind, horizon seconds) per row and W
-    the (k, 2, 2) Gramians, symmetrized here as ``GramianResult`` does.
-    The duality/entropy chain always derives from the determinant of the
-    reported Gramian.  A row that fails raises when it is reached, so a
-    table reports its first failing row, and within it the first failing
-    check: the determinant's range, the entropy chain, then the condition
-    number.
+    ``leads`` holds the first five cells of each row, (zeta, omega_n,
+    regime, horizon kind, formatted horizon seconds), and W the (k, 2, 2)
+    Gramians, symmetrized here as ``GramianResult`` does; leads past the
+    last Gramian are not reported.  The duality/entropy chain always
+    derives from the determinant of the reported Gramian.  A row that fails
+    raises when it is reached, so a table reports its first failing row,
+    and within it the first failing check: the determinant's range, the
+    entropy chain, then the condition number.
     """
     W = _symmetrize(W)
     # A trace that overflows (inf) belongs to a row whose det(W) overflows,
     # which raises before its trace is reported.
     eigenvalues, trace = _spectra(W)
-    for (params, kind, seconds), w, lam, tr in zip(
-        points, W.tolist(), eigenvalues.tolist(), trace.tolist()
-    ):
+    for lead, w, lam, tr in zip(leads, W.tolist(), eigenvalues.tolist(), trace.tolist()):
         det_wc, det_i, h, s, entropy_index = _entropy_chain(_cofactor_determinant(w), 2, c, k_b)
         cond = _condition_number(lam[0], lam[-1])
         if cond == math.inf:
             raise ArithmeticError(
                 f"condition number of the Gramian is not finite (eigenvalues {lam})"
             )
-        yield (params.zeta, params.omega_n, params.regime.value, kind, _fmt(seconds),
-               w[0][0], w[0][1], w[1][1], det_wc, lam[0], lam[-1], tr, cond,
-               det_i, h, s, entropy_index)
+        yield lead + (w[0][0], w[0][1], w[1][1], det_wc, lam[0], lam[-1], tr, cond,
+                      det_i, h, s, entropy_index)
 
 
 def _analysis_record(
@@ -201,8 +200,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gram = oscillator_gramian_closed_form(params)
     else:
         gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
-    point = (params, gram.horizon.kind, gram.horizon.seconds)
-    row = next(_report_rows([point], gram.matrix[None], args.duality_c, args.kb))
+    lead = (params.zeta, params.omega_n, params.regime.value, gram.horizon.kind,
+            _fmt(gram.horizon.seconds))
+    row = next(_report_rows([lead], gram.matrix[None], args.duality_c, args.kb))
     if args.format == "csv":
         text = ",".join(CSV_COLUMNS) + "\n" + CSV_ROW % row
     else:
@@ -226,46 +226,49 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs at least one of --zeta-grid, --omega-n-grid, --T-grid")
     zetas = _grid_or_scalar(args.zeta_grid, args.zeta, "zeta")
     omegas = _grid_or_scalar(args.omega_n_grid, args.omega_n, "omega-n")
-    horizons: list[float | None]
+    horizons = None
     if args.T_grid is not None:
-        horizons = list(_parse_grid(args.T_grid, "T-grid"))
+        horizons = _parse_grid(args.T_grid, "T-grid")
         if any(v <= 0.0 for v in horizons):
             raise ValueError("T-grid values must be > 0")
-    else:
-        horizons = [None]
 
-    # Deterministic order: zeta outer, omega_n middle, T inner.  Every model is
-    # built first so that all finite rows share one stacked Gramian kernel
-    # call and every row one report pass.  The pass runs over the rows before
-    # the first one whose model or Gramian fails and raises at the first of
-    # them that fails; only then is that model or Gramian failure raised, so
-    # the first failure in table order is the one reported.
-    models, failure = [], None
+    # Deterministic order: zeta outer, omega_n middle, T inner.  Points are
+    # validated, and their oscillator entries and closed forms checked, in
+    # table order up to the first one that fails.  The finite rows of the
+    # points before it share one stacked kernel call and every row one report
+    # pass, which raises at the first row that fails; only then is the point
+    # or kernel failure raised, so the first failure in table order wins.
+    points, entries, closed, failure = [], [], [], None
     try:
         for zeta in zetas:
             for omega_n in omegas:
                 params = OscillatorParams(zeta=zeta, omega_n=omega_n)
-                models.append((params, make_oscillator(params)))
+                entry = _oscillator_entries(params.zeta, params.omega_n)
+                if horizons is None:
+                    closed.append(_closed_form(params))
+                else:
+                    entries.append(entry)
+                points.append((params.zeta, params.omega_n, params.regime.value))
     except (ValueError, ArithmeticError) as exc:
         failure = exc
-    if not models:
+    if not points:
         raise failure
-    if args.T_grid is None:
-        closed = []
-        try:
-            for params, _ in models:
-                closed.append(_closed_form(params))
-        except ArithmeticError as exc:
-            failure = exc
-        points = [(params, horizon.kind, None) for (params, _), (_, horizon) in zip(models, closed)]
-        W = np.array([np.diag(diagonal) for diagonal, _ in closed]).reshape(-1, 2, 2)
+    if horizons is None:
+        leads = [point + (horizon.kind, "") for point, (_, horizon) in zip(points, closed)]
+        W = np.zeros((len(points), 2, 2))
+        W[:, [0, 1], [0, 1]] = [diagonal for diagonal, _ in closed]
     else:
-        rows = [(params, model, T) for params, model in models for T in horizons]
-        W, kernel_failure = _finite_horizon_gramians([r[1] for r in rows], [r[2] for r in rows])
+        seconds = [_fmt(T) for T in horizons]
+        leads = [point + ("finite", text) for point in points for text in seconds]
+        # Row i is point i // len(horizons): A = [[0, 1], [a10, a11]], B = [[0], [1]].
+        A = np.zeros((len(leads), 2, 2))
+        A[:, 0, 1] = 1.0
+        A[:, 1] = np.repeat(entries, len(horizons), axis=0)
+        B = np.broadcast_to([[0.0], [1.0]], (len(leads), 2, 1))
+        W, kernel_failure = _finite_horizon_gramians(A, B, horizons * len(points))
         failure = failure if kernel_failure is None else kernel_failure
-        points = [(params, "finite", T) for params, _, T in rows[: len(W)]]
     lines = [",".join(CSV_COLUMNS)]
-    lines += [CSV_ROW % row for row in _report_rows(points, W, args.duality_c, args.kb)]
+    lines += [CSV_ROW % row for row in _report_rows(leads, W, args.duality_c, args.kb)]
     if failure is not None:
         raise failure
     _emit("\n".join(lines), args.out)

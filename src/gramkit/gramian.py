@@ -286,19 +286,19 @@ def _adaptive_simpson_gramian(
 
 
 def _finite_horizon_gramians(
-    models: Sequence[StateSpaceModel], horizons: Sequence[float]
+    A: np.ndarray, B: np.ndarray, horizons: Sequence[float]
 ) -> tuple[np.ndarray, ArithmeticError | None]:
-    """Augmented-expm Gramians of (model, T) rows from one stacked kernel call.
+    """Augmented-expm Gramians of the rows (A_i, B_i, T_i) from one stacked kernel call.
 
-    The models must share their shapes, and the horizons are finite floats
-    >= 0, as the callers validate them.  Returns the Gramians, not yet
-    symmetrized, of the rows before the first row that fails, in row order,
-    and that row's ``ArithmeticError`` (None when no row fails): its kernel
-    step cannot be scaled, or its Gramian leaves the double range.
+    A is a finite (k, n, n) stack, B a finite (k, n, m) stack and
+    ``horizons`` k finite floats >= 0, as the callers validate them.
+    Returns the Gramians, not yet symmetrized, of the rows before the first
+    row that fails, in row order, and that row's ``ArithmeticError`` (None
+    when no row fails): its kernel step cannot be scaled, or its Gramian
+    leaves the double range.
     """
-    A = np.array([model.A for model in models])
-    B = np.array([model.B for model in models])
-    W, unscaled, lost = _augmented_expm_gramian(A, B, np.array(horizons, dtype=float))
+    T = np.array(horizons, dtype=float)
+    W, unscaled, lost = _augmented_expm_gramian(A, B, T)
     failed = unscaled | lost
     if not np.count_nonzero(failed):
         return W, None
@@ -307,7 +307,7 @@ def _finite_horizon_gramians(
         reason = "cannot be scaled: ||A|| T or ||B B^T|| overflows"
     else:
         reason = "leaves the double range"
-    return W[:i], ArithmeticError(f"the Gramian over [0, {horizons[i]}] {reason}")
+    return W[:i], ArithmeticError(f"the Gramian over [0, {float(T[i])}] {reason}")
 
 
 def finite_horizon_gramian(
@@ -339,7 +339,7 @@ def finite_horizon_gramian(
     if method not in ("augmented_expm", "quadrature"):
         raise ValueError(f"method must be 'augmented_expm' or 'quadrature', got {method!r}")
     if method == "augmented_expm":
-        W, failure = _finite_horizon_gramians([model], [T])
+        W, failure = _finite_horizon_gramians(model.A[None], model.B[None], [T])
         if failure is not None:
             raise failure
         W = W[0]

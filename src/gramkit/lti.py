@@ -41,16 +41,19 @@ def _require_finite_scalar(name: str, value: float) -> float:
     return value
 
 
+# A valid value passes the range checks after one comparison.
 def _require_positive(name: str, value: float) -> float:
-    value = _require_finite_scalar(name, value)
-    if value <= 0.0:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        _require_finite_scalar(name, value)
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
 
 
 def _require_nonnegative(name: str, value: float) -> float:
-    value = _require_finite_scalar(name, value)
-    if value < 0.0:
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        _require_finite_scalar(name, value)
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
@@ -82,7 +85,10 @@ def _require_uniform_grid(times: np.ndarray) -> np.ndarray:
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("times must be a 1-D grid with at least two nodes")
     steps = np.diff(times)
-    if not np.all(steps > 0.0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+    step = steps[0]
+    # Equal infinite steps are close, as np.isclose has it.
+    close = steps == step if abs(step) == math.inf else np.abs(steps - step) <= 1e-9 * abs(step)
+    if not (steps > 0.0).all() or not close.all():
         raise ValueError("times must be strictly increasing with constant step")
     return times
 
@@ -251,13 +257,19 @@ def make_oscillator(params: OscillatorParams) -> StateSpaceModel:
     A = [[0, 1], [-omega_n^2, -2*zeta*omega_n]], B = [[0], [1]]: the input is
     the normalized force acting directly on the acceleration.
     """
-    wn, zeta = params.omega_n, params.zeta
-    a10, a11 = -wn * wn, -2.0 * zeta * wn
+    a10, a11 = _oscillator_entries(params.zeta, params.omega_n)
+    return StateSpaceModel(A=np.array([[0.0, 1.0], [a10, a11]]), B=np.array([[0.0], [1.0]]))
+
+
+def _oscillator_entries(zeta: float, omega_n: float) -> tuple[float, float]:
+    """(-omega_n^2, -2*zeta*omega_n), the second row of the oscillator's A.
+
+    Raises ``OverflowError`` when either entry leaves the double range.
+    """
+    a10, a11 = -omega_n * omega_n, -2.0 * zeta * omega_n
     if not (math.isfinite(a10) and math.isfinite(a11)):
-        raise OverflowError(f"oscillator matrix overflows at zeta={zeta}, omega_n={wn}")
-    A = np.array([[0.0, 1.0], [a10, a11]])
-    B = np.array([[0.0], [1.0]])
-    return StateSpaceModel(A=A, B=B)
+        raise OverflowError(f"oscillator matrix overflows at zeta={zeta}, omega_n={omega_n}")
+    return a10, a11
 
 
 class ExpmResult(NamedTuple):

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gramkit import cli
+from gramkit.lti import OscillatorParams, make_oscillator
 
 ANALYZE_KEYS = {
     "schema_version",
@@ -294,6 +296,29 @@ class TestSweep:
         assert horizons == [1.0, 2.0, 4.0]
         dets = [float(line.split(",")[8]) for line in lines[1:]]
         assert all(a < b for a, b in zip(dets, dets[1:]))
+
+    def test_kernel_stack_is_make_oscillator_bit_for_bit(self, monkeypatch):
+        # The sweep stacks A and B from its grids without building models;
+        # row i holds point i // len(T-grid), as make_oscillator builds it.
+        calls = []
+        kernel = cli._finite_horizon_gramians
+
+        def spy(A, B, horizons):
+            calls.append((A, B, list(horizons)))
+            return kernel(A, B, horizons)
+
+        monkeypatch.setattr(cli, "_finite_horizon_gramians", spy)
+        zetas, omegas = [0.0, 1e-320, 0.5, 1.0, 4.0], [1e-3, 1.0, 3e102]
+        run_in_process("sweep", "--zeta-grid", ",".join(map(repr, zetas)),
+                       "--omega-n-grid", ",".join(map(repr, omegas)), "--T-grid", "1,2")
+        [(A, B, horizons)] = calls
+        assert A.shape == (30, 2, 2) and B.shape == (30, 2, 1)
+        assert A.dtype == B.dtype == np.float64 and horizons == [1.0, 2.0] * 15
+        points = [(zeta, omega_n) for zeta in zetas for omega_n in omegas]
+        for i, (zeta, omega_n) in enumerate(p for p in points for _ in range(2)):
+            model = make_oscillator(OscillatorParams(zeta, omega_n))
+            assert np.array_equal(A[i], model.A) and np.array_equal(B[i], model.B)
+            assert A[i].tobytes() == model.A.tobytes() and B[i].tobytes() == model.B.tobytes()
 
     def test_requires_a_grid(self):
         result = run_cli("sweep", "--zeta", "0.5", "--omega-n", "1")

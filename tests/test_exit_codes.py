@@ -124,6 +124,34 @@ def test_sweep_ends_as_analyze_over_its_points(zetas, omegas, horizons, c, kb):
     assert sweep == (0, "\n".join(lines) + "\n", ""), argv
 
 
+@pytest.mark.parametrize("T_grid", [None, "1,2"])
+@pytest.mark.parametrize(
+    "grids, point, message",
+    [
+        # omega_n^2 overflows at point 2
+        (["--zeta-grid=0.5", "--omega-n-grid=1,1e160"], ["--zeta=0.5", "--omega-n=1e160"],
+         "oscillator matrix overflows at zeta=0.5, omega_n=1e+160"),
+        # 2 zeta omega_n overflows at point 2
+        (["--zeta-grid=0.5,1e300", "--omega-n-grid=1e10"], ["--zeta=1e300", "--omega-n=1e10"],
+         "oscillator matrix overflows at zeta=1e+300, omega_n=10000000000.0"),
+        # zeta is refused at point 1
+        (["--zeta-grid=-1,0.5", "--omega-n=1"], ["--zeta=-1", "--omega-n=1"],
+         "zeta must be >= 0, got -1.0"),
+    ],
+)
+def test_sweep_fails_as_analyze_at_its_failing_point(grids, point, message, T_grid):
+    sweep, analyze = ["sweep", *grids], ["analyze", "--format=csv", *point]
+    if T_grid is not None:
+        sweep.append(f"--T-grid={T_grid}")
+        analyze += ["--horizon=finite", "--T=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected, result = run(analyze), run(sweep)
+    code, out, err = expected
+    assert code in (2, 3) and out == "" and len(err.splitlines()) == 1 and message in err
+    assert result == expected
+
+
 @contract
 @given(
     zeta=finite,

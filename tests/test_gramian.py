@@ -281,7 +281,8 @@ class TestFiniteHorizon:
         models = [osc_model(z, w) for z in (0.0, 0.3, 1.0, 2.5) for w in (0.4, 1.0, 7.0)]
         horizons = [0.0, 1e-8, 0.5, 3.0, 40.0, 1000.0]
         rows = [(m, T) for m in models for T in horizons]
-        stacked, failure = gramian_mod._finite_horizon_gramians([m for m, _ in rows], [T for _, T in rows])
+        A, B = np.array([m.A for m, _ in rows]), np.array([m.B for m, _ in rows])
+        stacked, failure = gramian_mod._finite_horizon_gramians(A, B, [T for _, T in rows])
         assert failure is None and len(stacked) == len(rows)
         for (model, T), W in zip(rows, stacked):
             single = finite_horizon_gramian(model, T)
@@ -291,7 +292,8 @@ class TestFiniteHorizon:
     def test_stacked_failure_is_raised_at_its_row(self):
         # Rows before an out-of-range row are still produced.
         models = [osc_model(0.5, 1.0), osc_model(0.5, 1e-110), osc_model(0.5, 1.0)]
-        stacked, failure = gramian_mod._finite_horizon_gramians(models, [2.0, 1e300, 2.0])
+        A, B = np.array([m.A for m in models]), np.array([m.B for m in models])
+        stacked, failure = gramian_mod._finite_horizon_gramians(A, B, [2.0, 1e300, 2.0])
         assert len(stacked) == 1
         W = gramian_mod._symmetrize(stacked[0])
         assert np.array_equal(W, finite_horizon_gramian(models[0], 2.0).matrix)
@@ -306,7 +308,8 @@ class TestFiniteHorizon:
         huge_b = StateSpaceModel(-np.eye(2), np.full((2, 1), 1e200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stacked, failure = gramian_mod._finite_horizon_gramians(models, [1e300, 1e300, 2.0])
+            A, B = np.array([m.A for m in models]), np.array([m.B for m in models])
+            stacked, failure = gramian_mod._finite_horizon_gramians(A, B, [1e300, 1e300, 2.0])
             with pytest.raises(ArithmeticError, match=r"^the Gramian over \[0, 1e\+300\] cannot be scaled"):
                 finite_horizon_gramian(models[1], 1e300)
             with pytest.raises(ArithmeticError, match=r"^the Gramian over \[0, 1\.0\] cannot be scaled"):

@@ -19,6 +19,7 @@ from gramkit.lti import (
     oscillator_expm,
     simulate,
     _expm_stack,
+    _require_uniform_grid,
     _rk4_affine_step,
 )
 
@@ -486,6 +487,39 @@ class TestControllabilityRank:
     def test_rank_deficient(self):
         model = StateSpaceModel(A=np.zeros((2, 2)), B=np.array([[1.0], [0.0]]))
         assert controllability_rank(model) == 1
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize(
+        "times, accepted",
+        [
+            ([0.0, math.inf], True),  # np.isclose takes equal infinities as close
+            ([-math.inf, 0.0], True),
+            ([0.0, 1.0, 2.0 + 0.999e-9], True),  # step jitter just inside 1e-9
+            ([0.0, 1.0, 2.0 + 1.001e-9], False),  # and just outside
+            ([0.0, 1.0, 2.0 - 0.999e-9], True),
+            ([0.0, 1.0, 2.0 - 1.001e-9], False),
+            ([0.0, 1.0, math.nan], False),
+            ([0.0, math.nan, 2.0], False),
+            ([0.0, 1.0, math.inf], False),
+            ([0.0, 1.0, 1.0], False),
+            ([1.0, 0.0], False),
+            ([math.inf, 0.0], False),
+            ([0.0, -math.inf], False),
+        ],
+    )
+    def test_accepts_the_grids_allclose_accepts(self, times, accepted):
+        steps = np.diff(times)
+        with np.errstate(invalid="ignore"):
+            reference = np.all(steps > 0.0) and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        assert reference == accepted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if accepted:
+                assert _require_uniform_grid(times).tolist() == times
+            else:
+                with pytest.raises(ValueError, match="constant step"):
+                    _require_uniform_grid(times)
 
 
 class TestStateSpaceModel:

@@ -20,6 +20,8 @@ from gramkit.gramian import (
 from gramkit.lti import (
     OscillatorParams,
     StateSpaceModel,
+    _require_nonnegative,
+    _require_positive,
     expm_scaling_squaring,
     make_oscillator,
     simulate,
@@ -63,6 +65,35 @@ def test_bad_scalar_is_rejected_by_name(name, call, out_of_range, kind):
     value = {"nan": math.nan, "inf": math.inf, "out_of_range": out_of_range}[kind]
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call(value)
+
+
+# value: what _require_positive and _require_nonnegative return, or the
+# message they raise after the parameter name.
+RANGE_CASES = [
+    (2.5, 2.5, 2.5),
+    (np.float64(2.5), 2.5, 2.5),
+    (3, 3.0, 3.0),
+    (5e-324, 5e-324, 5e-324),
+    (1.7976931348623157e308, 1.7976931348623157e308, 1.7976931348623157e308),
+    (0.0, "must be > 0, got 0.0", 0.0),
+    (-0.0, "must be > 0, got -0.0", -0.0),
+    (-1.0, "must be > 0, got -1.0", "must be >= 0, got -1.0"),
+    (math.inf, "must be finite, got inf", "must be finite, got inf"),
+    (-math.inf, "must be finite, got -inf", "must be finite, got -inf"),
+    (math.nan, "must be finite, got nan", "must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("value, positive, nonnegative", RANGE_CASES)
+def test_range_checks(value, positive, nonnegative):
+    for check, expected in ((_require_positive, positive), (_require_nonnegative, nonnegative)):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^x {expected}$"):
+                check("x", value)
+        else:
+            result = check("x", value)
+            assert type(result) is float and result == expected
+            assert math.copysign(1.0, result) == math.copysign(1.0, expected)
 
 
 GRID = np.linspace(0.0, 1.0, 3)
