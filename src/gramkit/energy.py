@@ -144,8 +144,10 @@ def synthesize_min_energy_control(
 
     p, predicted = _energy_solve(finite_horizon_gramian(model, T), x_f)
     times = np.linspace(0.0, T, steps + 1)
+    # Phi^T p for every node, written p @ Phi so that no operand is a
+    # transposed view; the bits are the same.
     with np.errstate(over="raise", invalid="raise"):
-        values = (matrix_exponential(model.A, T - times).swapaxes(1, 2) @ p) @ model.B
+        values = (p @ matrix_exponential(model.A, T - times)) @ model.B
     return ControlProfile(times=times, values=values, target=x_f, predicted_energy=predicted)
 
 

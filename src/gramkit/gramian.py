@@ -177,7 +177,9 @@ def _augmented_expm_gramian(
       A_s blocks far below unit roundoff before squaring them back.
 
     Rows are doubled in order of decreasing d, so the rows still doubling
-    form a leading slice.
+    form a leading slice.  Phi and, per level, Phi^T are contiguous copies,
+    so that no product in the loop takes a transposed view; the bits are
+    those of the views.
     """
     k, n, _ = A.shape
     e = _balancing_exponents(A)
@@ -203,11 +205,11 @@ def _augmented_expm_gramian(
     M, d = M[order], d[order]
     with np.errstate(over="ignore", invalid="ignore"):
         F = _expm_stack(M)[0]
-        phi = F[:, n:, n:].swapaxes(1, 2)
+        phi = F[:, n:, n:].swapaxes(1, 2).copy()
         W = phi @ F[:, :n, n:]
         for active in (-d).searchsorted(-np.arange(d[0])).tolist():
             w, p = W[:active], phi[:active]
-            w += p @ w @ p.swapaxes(1, 2)
+            w += p @ w @ p.swapaxes(1, 2).copy()
             np.matmul(p, p, out=p)
         W = W[order.argsort()]
         scaled = np.ldexp(W, row + col + c[:, None, None])  # D (2**c W') D
@@ -234,7 +236,8 @@ def _adaptive_simpson_gramian(
     """
 
     def f(t: np.ndarray) -> np.ndarray:
-        col = matrix_exponential(A, t) @ B
+        # One 2-D product with the shared B over the whole stack.
+        col = (matrix_exponential(A, t).reshape(-1, len(B)) @ B).reshape(t.shape + B.shape)
         return col @ col.swapaxes(-1, -2)
 
     # Midpoints are 0.5 (a + b).  Above T = 1 they are formed as
@@ -361,7 +364,8 @@ def infinite_horizon_gramian_lyapunov(model: StateSpaceModel) -> GramianResult:
     step W <- W + L(A W + W A^T + Q) through the same steps brings the
     residual to the order of unit roundoff even for slowly decaying modes.
     W is then symmetrized, and the Frobenius residual of that W is recorded
-    on the result.
+    on the result; it is formed on R scaled by a power of two, so it is
+    finite whenever every entry of R is.
 
     Raises
     ------
@@ -381,28 +385,34 @@ def infinite_horizon_gramian_lyapunov(model: StateSpaceModel) -> GramianResult:
             f"(max eigenvalue real part {real_parts.max():.3e}); "
             "the infinite-horizon Gramian does not exist"
         )
+    At = A.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _sign_steps(A)
         Q = model.B @ model.B.T
         W = _replay(steps, Q)
-        W = _symmetrize(W + _replay(steps, A @ W + W @ A.T + Q))
+        W = _symmetrize(W + _replay(steps, A @ W + W @ At + Q))
         if not np.isfinite(W).all():
             raise OverflowError("the Lyapunov Gramian leaves the double range")
-        residual = float(np.linalg.norm(A @ W + W @ A.T + Q, "fro"))
+        R = A @ W + W @ At + Q
+        # The norm of R scaled by a power of two near 1 / max|R|: its sum of
+        # squares cannot overflow where the entries are finite.
+        e = int(np.frexp(np.abs(R).max())[1])
+        residual = float(np.ldexp(np.linalg.norm(np.ldexp(R, -e), "fro"), e))
     return GramianResult(
         matrix=W, horizon=Horizon.infinite(), method="lyapunov", residual=residual
     )
 
 
-def _sign_steps(A: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
-    """(c_k, 2**e_k A_k^-1, 4**e_k c_k) of each Newton step
+def _sign_steps(A: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray, float]]:
+    """(c_k, S_k = 2**e_k A_k^-1, S_k^T, 4**e_k c_k) of each Newton step
     A_{k+1} = (c_k A_k + A_k^-1 / c_k) / 2 towards sign(A) = -I of a Hurwitz A.
 
     c_k = |det A_k|^(-1/n) for the first ``SIGN_SCALED_STEPS`` steps and 1
     after them.  The iteration stops once a step moves A_k by at most
     ``SIGN_TOL`` relative in the 1-norm, after at least two steps.  The
     power of two 2**e_k ~ c_k^(-1/2) keeps A^-1 Q A^-T from underflowing
-    where c_k is small, as for A = -1e300 I, and changes no rounding.
+    where c_k is small, as for A = -1e300 I, and changes no rounding.  S_k^T
+    is stored as a contiguous copy for ``_replay``.
     """
     n = A.shape[0]
     steps = []
@@ -410,7 +420,8 @@ def _sign_steps(A: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
         inv = np.linalg.inv(A)
         c = math.exp(-np.linalg.slogdet(A)[1] / n) if k < SIGN_SCALED_STEPS else 1.0
         e = -math.frexp(c)[1] // 2
-        steps.append((c, inv * 2.0**e, math.ldexp(c, 2 * e)))
+        S = inv * 2.0**e
+        steps.append((c, S, S.T.copy(), math.ldexp(c, 2 * e)))
         A_next = 0.5 * (c * A + inv / c)
         size = _norm1(A_next)  # inf or NaN when an entry is
         if not math.isfinite(size):
@@ -421,12 +432,14 @@ def _sign_steps(A: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
     raise ArithmeticError(f"sign iteration of A did not converge in {SIGN_STEP_CAP} steps")
 
 
-def _replay(steps: list[tuple[float, np.ndarray, float]], X: np.ndarray) -> np.ndarray:
+def _replay(steps: list[tuple[float, np.ndarray, np.ndarray, float]], X: np.ndarray) -> np.ndarray:
     """L(X), the solution W of A W + W A^T = -X, by the Q recurrence
     X <- (c X + A^-1 X A^-T / c) / 2 of the stored sign steps: W is half
-    its limit."""
-    for c, S, scaled_c in steps:
-        X = 0.5 * (c * X + S @ X @ S.T / scaled_c)
+    its limit.  The right factor is the stored contiguous S^T, never a
+    transposed view, which numpy multiplies by a slower path with the same
+    bits."""
+    for c, S, St, scaled_c in steps:
+        X = 0.5 * (c * X + S @ X @ St / scaled_c)
     return 0.5 * X
 
 

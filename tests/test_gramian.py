@@ -129,6 +129,19 @@ class TestLyapunov:
         assert g.residual <= 1e-12 * scale
         assert g.residual == np.linalg.norm(A @ W + W @ A.T + Q)
 
+    def test_residual_is_finite_where_its_sum_of_squares_overflows(self):
+        # The entries of A W + W A^T + Q stay below 4.2e282, but their squares
+        # overflow; the norm is taken on the residual scaled by a power of two.
+        model = StateSpaceModel(A=np.array([[-1.0, 1e150], [0.0, -2.0]]), B=np.ones((2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = infinite_horizon_gramian_lyapunov(model)
+        # The exact solution, [[1e300 / 12, 1e150 / 12], [1e150 / 12, 1 / 4]].
+        assert g.matrix.tolist() == [[8.333333333333333e298, 8.333333333333333e148], [8.333333333333333e148, 0.25]]
+        assert g.residual == 4.1224533404952285e282
+        # ||A|| ||W|| is about 8.3e448, so the relative residual is about 5e-167.
+        assert math.log(g.residual) - math.log(1e150) - math.log(g.matrix[0, 0]) < math.log(1e-12)
+
     @pytest.mark.parametrize("s", [1e-10, 1e300])
     def test_time_scaling(self, s):
         # A -> s A gives W -> W / s.  At s = 1e300 the first A^-1 Q A^-T is

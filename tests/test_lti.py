@@ -11,6 +11,7 @@ from gramkit.lti import (
     DampingRegime,
     OscillatorParams,
     StateSpaceModel,
+    Trajectory,
     classify_regime,
     controllability_rank,
     expm_scaling_squaring,
@@ -488,13 +489,39 @@ class TestControllabilityRank:
         model = StateSpaceModel(A=np.zeros((2, 2)), B=np.array([[1.0], [0.0]]))
         assert controllability_rank(model) == 1
 
+    def test_tall_svd_agrees_with_wide_svd(self):
+        # The rank comes from the singular values of the tall K^T; the wide K
+        # gives the same rank on seeded systems, most of them with sparse
+        # integer entries so that many are rank-deficient.
+        rng = np.random.default_rng(14)
+        deficient = 0
+        for i in range(3000):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            if i % 3:
+                A = rng.integers(-1, 2, (n, n)) * (rng.random((n, n)) < 0.3)
+                B = rng.integers(-1, 2, (n, m)) * (rng.random((n, m)) < 0.4)
+            else:
+                A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+            model = StateSpaceModel(A=A, B=B)
+            blocks = [model.B]
+            for _ in range(1, n):
+                blocks.append(model.A @ blocks[-1])
+            K = np.hstack(blocks)
+            sigma = np.linalg.svd(K, compute_uv=False)
+            wide = 0 if sigma[0] == 0.0 else int(np.count_nonzero(sigma > max(n, m) * np.finfo(float).eps * sigma[0]))
+            rank = controllability_rank(model)
+            assert rank == wide, (A.tolist(), B.tolist())
+            deficient += rank < n
+        assert deficient >= 1000
+
 
 class TestUniformGrid:
+    # Among grids whose steps are finite, the grids np.allclose accepts.
     @pytest.mark.parametrize(
         "times, accepted",
         [
-            ([0.0, math.inf], True),  # np.isclose takes equal infinities as close
-            ([-math.inf, 0.0], True),
+            ([0.0, math.inf], False),  # an infinite step, although np.isclose takes it as close
+            ([-math.inf, 0.0], False),
             ([0.0, 1.0, 2.0 + 0.999e-9], True),  # step jitter just inside 1e-9
             ([0.0, 1.0, 2.0 + 1.001e-9], False),  # and just outside
             ([0.0, 1.0, 2.0 - 0.999e-9], True),
@@ -506,20 +533,32 @@ class TestUniformGrid:
             ([1.0, 0.0], False),
             ([math.inf, 0.0], False),
             ([0.0, -math.inf], False),
+            ([-1.7e308, 1.7e308], False),  # finite nodes whose step overflows
         ],
     )
     def test_accepts_the_grids_allclose_accepts(self, times, accepted):
-        steps = np.diff(times)
-        with np.errstate(invalid="ignore"):
-            reference = np.all(steps > 0.0) and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(times)
+            reference = (
+                np.isfinite(steps).all()
+                and np.all(steps > 0.0)
+                and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+            )
         assert reference == accepted
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if accepted:
                 assert _require_uniform_grid(times).tolist() == times
             else:
-                with pytest.raises(ValueError, match="constant step"):
+                with pytest.raises(ValueError, match="constant step|finite steps"):
                     _require_uniform_grid(times)
+
+    @pytest.mark.parametrize("times", [[0.0, math.inf], [-1.7e308, 1.7e308]])
+    def test_trajectory_refuses_a_non_finite_step(self, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite steps"):
+                Trajectory(times=np.array(times), states=np.zeros((2, 1)), inputs=np.zeros((2, 1)))
 
 
 class TestStateSpaceModel:
