@@ -11,6 +11,7 @@ passed to :func:`min_control_energy` as horizon-limit references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,9 @@ def _energy_solve(g: GramianResult, x_f: np.ndarray) -> tuple[np.ndarray, float]
     Raises SingularGramianError when ``gramian_spectrum`` flags an
     uncontrollable direction or the factorization fails; no pseudo-inverse
     fallback, since silent regularization would corrupt the energy
-    semantics.  An overflow raises ``FloatingPointError``.
+    semantics.  A non-finite W^{-1} x_f or energy raises ``OverflowError``;
+    ``np.linalg.solve`` ignores the floating-point flags, so both are
+    checked after the solve.
     """
     spectrum = gramian_spectrum(g)
     if spectrum.uncontrollable_direction:
@@ -95,9 +98,12 @@ def _energy_solve(g: GramianResult, x_f: np.ndarray) -> tuple[np.ndarray, float]
         L = np.linalg.cholesky(g.matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularGramianError(f"Cholesky factorization failed: {exc}") from exc
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):
         p = np.linalg.solve(L.T, np.linalg.solve(L, x_f))
-        return p, max(float(x_f @ p), 0.0)
+        energy = float(x_f @ p)
+    if not (math.isfinite(energy) and np.isfinite(p).all()):
+        raise OverflowError(f"x_f^T W^-1 x_f overflows (x_f={x_f.tolist()})")
+    return p, max(energy, 0.0)
 
 
 def min_control_energy(g: GramianResult, x_f: np.ndarray) -> float:
@@ -135,6 +141,8 @@ def synthesize_min_energy_control(
     ------
     SingularGramianError
         When the finite-horizon Gramian is not positive definite.
+    OverflowError
+        When x_f^T W_T^{-1} x_f leaves the double range.
     """
     T = _require_positive("T", T)
     steps = int(steps)
@@ -144,10 +152,18 @@ def synthesize_min_energy_control(
 
     p, predicted = _energy_solve(finite_horizon_gramian(model, T), x_f)
     times = np.linspace(0.0, T, steps + 1)
-    # Phi^T p for every node, written p @ Phi so that no operand is a
-    # transposed view; the bits are the same.
+    n, m = model.n, model.m
+    # u_i = p^T (Phi_i B): one 2-D product with the shared B, then n scaled
+    # adds.  numpy sends a stacked p @ Phi to BLAS once per node.  This order
+    # rounds differently (1 ulp of max|u| on oscillators) and is as accurate
+    # against a 30-digit reference.  The sum starts from +0, as BLAS does, so
+    # a zero target gives +0 samples and never -0.
     with np.errstate(over="raise", invalid="raise"):
-        values = (p @ matrix_exponential(model.A, T - times)) @ model.B
+        Phi = matrix_exponential(model.A, T - times)
+        PhiB = (Phi.reshape(-1, n) @ model.B).reshape(steps + 1, n, m)
+        values = np.zeros((steps + 1, m))
+        for k in range(n):
+            values += p[k] * PhiB[:, k]
     return ControlProfile(times=times, values=values, target=x_f, predicted_energy=predicted)
 
 

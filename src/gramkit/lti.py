@@ -394,7 +394,11 @@ def oscillator_expm(zeta: float, omega_n: float, t: float | np.ndarray) -> np.nd
         c_d, s_d = _damped_cos_sin(zeta, omega_n, t)
     zw = zeta * omega_n
     # A + zw*I = [[zw, 1], [-omega_n^2, -zw]]
-    out = np.stack([c_d + s_d * zw, s_d, -s_d * omega_n * omega_n, c_d - s_d * zw], axis=-1)
+    out = np.empty(t.shape + (4,))
+    out[..., 0] = c_d + s_d * zw
+    out[..., 1] = s_d
+    out[..., 2] = -s_d * omega_n * omega_n
+    out[..., 3] = c_d - s_d * zw
     return out.reshape(t.shape + (2, 2))
 
 

@@ -66,6 +66,17 @@ class TestMinControlEnergy:
             with pytest.raises(ArithmeticError):
                 min_control_energy(g, np.array([1e300, 0.0]))
 
+    def test_overflow_is_refused_by_name(self):
+        # np.linalg.solve ignores the floating-point flags, so W^-1 x_f is
+        # [inf, 0] in the first call and must be checked after the solve.
+        named = r"x_f\^T W\^-1 x_f overflows \(x_f=\[{}, 0\.0\]\)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=named.format(r"10000000000\.0")):
+                min_control_energy(diag_gramian(1e-300, 1e-300), np.array([1e10, 0.0]))
+            with pytest.raises(OverflowError, match=named.format(r"1e\+300")):
+                synthesize_min_energy_control(osc_model(0.5, 1.0), 3.0, np.array([1e300, 0.0]), 200)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             min_control_energy(diag_gramian(1.0, 1.0), np.array([1.0, 0.0, 0.0]))
@@ -120,6 +131,11 @@ class TestSynthesis:
         assert np.all(profile.values == 0.0)
         assert profile.predicted_energy == 0.0
 
+    def test_zero_target_gives_unsigned_zeros(self):
+        # 0 * (a negative entry of Phi B) is -0; the CLI would print it as "-0".
+        profile = synthesize_min_energy_control(osc_model(0.5, 1.0), 200.0, np.zeros(2), 2000)
+        assert not np.signbit(profile.values).any()
+
     @pytest.mark.parametrize("x_f", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     def test_round_trip(self, x_f):
         model = osc_model(0.5, 1.0)
@@ -162,15 +178,35 @@ class TestSynthesis:
         assert result.final_state_error < 1e-4
         assert result.energy_mismatch < 1e-3
 
-    def test_matches_per_sample_formula(self):
-        # The batched synthesis against u*(t) = B^T exp(A^T (T - t)) W^-1 x_f
-        # evaluated one sample at a time.
+    @pytest.mark.parametrize(
+        "A, B, x_f",
+        [
+            *(
+                (osc_model(zeta, 1.0).A, osc_model(zeta, 1.0).B, np.array([0.7, -0.2]))
+                for zeta in (0.0, 0.3, 1.0, 2.5)
+            ),
+            (
+                np.diag([-0.5, -0.8, -1.1, -1.4, -1.7]) + np.diag([1.0, 1.0, 1.0, 1.0], 1),
+                np.array([[0.0], [0.0], [0.0], [0.0], [1.0]]),
+                np.array([0.7, -0.2, 0.4, 0.1, -0.3]),
+            ),
+            (
+                np.array([[-0.5, 1.0, 0.0], [-1.0, -0.5, 0.4], [0.2, -0.3, -1.0]]),
+                np.array([[0.0, 0.2], [1.0, 0.0], [0.1, 0.8]]),
+                np.array([0.7, -0.2, 0.4]),
+            ),
+        ],
+        ids=[
+            "oscillator-zeta0", "oscillator-zeta0.3", "oscillator-zeta1", "oscillator-zeta2.5",
+            "5x1", "3x2",
+        ],
+    )
+    def test_matches_per_sample_formula(self, A, B, x_f):
+        # The batched synthesis, p^T (Phi B) summed over the n states, against
+        # u*(t) = B^T exp(A^T (T - t)) W^-1 x_f evaluated one sample at a time.
         from gramkit.lti import StateSpaceModel, matrix_exponential
 
-        A = np.array([[-0.5, 1.0, 0.0], [-1.0, -0.5, 0.4], [0.2, -0.3, -1.0]])
-        B = np.array([[0.0, 0.2], [1.0, 0.0], [0.1, 0.8]])
         model = StateSpaceModel(A=A, B=B)
-        x_f = np.array([0.7, -0.2, 0.4])
         profile = synthesize_min_energy_control(model, 4.0, x_f, 200)
         p = np.linalg.solve(finite_horizon_gramian(model, 4.0).matrix, x_f)
         expected = np.array([B.T @ (matrix_exponential(A, 4.0 - t).T @ p) for t in profile.times])
