@@ -150,37 +150,46 @@ def _balancing_exponents(A: np.ndarray) -> np.ndarray:
     return e
 
 
-def _augmented_expm_gramian(
-    A: np.ndarray, B: np.ndarray, T: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gramians over [0, T_i] of a stack of systems from block-matrix exponentials.
+def _finite_horizon_gramians(
+    A: np.ndarray, B: np.ndarray, horizons: Sequence[float]
+) -> tuple[np.ndarray, ArithmeticError | None]:
+    """Augmented-expm Gramians of the rows (A_i, B_i, T_i) from one stacked kernel call.
 
-    A is (k, n, n), B (k, n, m) and T (k,).  Returns W (k, n, n), not yet
-    symmetrized, and two booleans (k,): the rows that cannot be scaled,
-    because ||A_s|| T or ||B_s B_s^T|| leaves the double range (their W is
-    0), and the rows whose Gramian left the double range, because an entry
-    overflowed or a nonzero entry underflowed to 0.
+    A is a finite (k, n, n) stack, B a finite (k, n, m) stack and
+    ``horizons`` k finite floats >= 0, as the callers validate them.
+    Returns the Gramians, not yet symmetrized, of the rows before the first
+    row whose Gramian leaves the double range (an entry overflows, or a
+    nonzero entry underflows to 0), in row order, and that row's
+    ``ArithmeticError`` (None when no row fails).
 
     Each system is first balanced, A_s = D^-1 A D and B_s = D^-1 B with D a
     power of two per state, and W = D W_s D.  One exponential of
-    [[-A_s h, 2**-c Q h], [0, A_s^T h]], Q = B_s B_s^T, at a base step
-    h = T / 2**d with ||A_s h||_1 < 2 gives W' = 2**-c W_s(h) (transposed
-    lower-right block times upper-right block); interval doubling
-    W' <- W' + Phi W' Phi^T, Phi <- Phi^2 then reaches T.
+    [[-A_s h, 2**-c Q h], [0, A_s^T h]], Q = B' B'^T with B' = 2**-b B_s, at
+    a base step h = T / 2**d with ||A_s h||_1 < 2 gives
+    W' = 2**-(c + 2b) W_s(h) (transposed lower-right block times upper-right
+    block); interval doubling W' <- W' + Phi W' Phi^T, Phi <- Phi^2 then
+    reaches T.
 
     - Doubling keeps the -A block from amplifying roundoff exponentially on
       long horizons, where the one-shot evaluation loses all precision.
     - Balancing keeps the base step on the time scale of the dynamics when
       the entries of A span many orders of magnitude.
-    - The power of two 2**-c brings ||2**-c Q h||_1 into [1/4, 1), so the Q
-      block cannot force squarings: a large Q h would otherwise scale the
-      A_s blocks far below unit roundoff before squaring them back.
+    - d is taken from the exponents of ||A_s||_1 and T, not from their
+      product, so it is defined where the product overflows; wherever the
+      product is a normal double, d = frexp(||A_s||_1 T)[1] - 1 (at least 0).
+    - The power of two 2**-b brings max|B'| into [1/2, 1), so Q cannot
+      overflow and its largest entries cannot underflow, and 2**-c brings
+      ||2**-c Q h||_1 into [1/4, 1), so the Q block cannot force squarings:
+      a large Q h would otherwise scale the A_s blocks far below unit
+      roundoff before squaring them back.  Powers of two change no rounding
+      where no entry is subnormal.
 
     Rows are doubled in order of decreasing d, so the rows still doubling
     form a leading slice.  Phi and, per level, Phi^T are contiguous copies,
     so that no product in the loop takes a transposed view; the bits are
     those of the views.
     """
+    T = np.array(horizons, dtype=float)
     k, n, _ = A.shape
     e = _balancing_exponents(A)
     row, col = e[:, :, None], e[:, None, :]
@@ -188,22 +197,21 @@ def _augmented_expm_gramian(
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.ldexp(A, col - row)
         B = np.ldexp(B, -row)
-        Q = B @ B.swapaxes(1, 2)
-        step, q = _norm1(A) * T, _norm1(Q)
         # frexp(x) = (m, E) with x = m * 2**E, 1/2 <= m < 1.
-        d = np.maximum(np.frexp(step)[1] - 1, 0)
+        b = np.frexp(np.abs(B).max(axis=(1, 2)))[1]
+        B = np.ldexp(B, -b[:, None, None])
+        Q = B @ B.swapaxes(1, 2)
+        (m_A, E_A), (m_T, E_T) = np.frexp(_norm1(A)), np.frexp(T)
+        m, E = np.frexp(m_A * m_T)
+        d = np.where(m == 0.0, 0, np.maximum(E + E_A + E_T - 1, 0))
         h = np.ldexp(T, -d)
-        c = np.frexp(q)[1] + np.frexp(h)[1]
+        c = np.frexp(_norm1(Q))[1] + np.frexp(h)[1]
         M[:, :n, :n] = -A
         M[:, :n, n:] = np.ldexp(Q, -c[:, None, None])
         M[:, n:, n:] = A.swapaxes(1, 2)
         M *= h[:, None, None]
-    unscaled = ~np.isfinite(np.maximum(step, q))  # NaN propagates through maximum
-    if np.count_nonzero(unscaled):
-        M[unscaled] = 0.0
-    order = (-d).argsort(kind="stable")
-    M, d = M[order], d[order]
-    with np.errstate(over="ignore", invalid="ignore"):
+        order = (-d).argsort(kind="stable")
+        M, d = M[order], d[order]
         F = _expm_stack(M)[0]
         phi = F[:, n:, n:].swapaxes(1, 2).copy()
         W = phi @ F[:, :n, n:]
@@ -212,9 +220,13 @@ def _augmented_expm_gramian(
             w += p @ w @ p.swapaxes(1, 2).copy()
             np.matmul(p, p, out=p)
         W = W[order.argsort()]
-        scaled = np.ldexp(W, row + col + c[:, None, None])  # D (2**c W') D
+        scaled = np.ldexp(W, row + col + (c + 2 * b)[:, None, None])  # D (2**(c + 2b) W') D
     kept = np.isfinite(scaled) & ((scaled != 0.0) | (W == 0.0))
-    return scaled, unscaled, ~np.logical_and.reduce(kept, axis=(1, 2))
+    lost = ~np.logical_and.reduce(kept, axis=(1, 2))
+    if not np.count_nonzero(lost):
+        return scaled, None
+    i = int(lost.argmax())
+    return scaled[:i], ArithmeticError(f"the Gramian over [0, {float(T[i])}] leaves the double range")
 
 
 def _adaptive_simpson_gramian(
@@ -288,31 +300,6 @@ def _adaptive_simpson_gramian(
         tol = 0.5 * tol
 
 
-def _finite_horizon_gramians(
-    A: np.ndarray, B: np.ndarray, horizons: Sequence[float]
-) -> tuple[np.ndarray, ArithmeticError | None]:
-    """Augmented-expm Gramians of the rows (A_i, B_i, T_i) from one stacked kernel call.
-
-    A is a finite (k, n, n) stack, B a finite (k, n, m) stack and
-    ``horizons`` k finite floats >= 0, as the callers validate them.
-    Returns the Gramians, not yet symmetrized, of the rows before the first
-    row that fails, in row order, and that row's ``ArithmeticError`` (None
-    when no row fails): its kernel step cannot be scaled, or its Gramian
-    leaves the double range.
-    """
-    T = np.array(horizons, dtype=float)
-    W, unscaled, lost = _augmented_expm_gramian(A, B, T)
-    failed = unscaled | lost
-    if not np.count_nonzero(failed):
-        return W, None
-    i = int(failed.argmax())
-    if unscaled[i]:
-        reason = "cannot be scaled: ||A|| T or ||B B^T|| overflows"
-    else:
-        reason = "leaves the double range"
-    return W[:i], ArithmeticError(f"the Gramian over [0, {float(T[i])}] {reason}")
-
-
 def finite_horizon_gramian(
     model: StateSpaceModel, T: float, method: str = "augmented_expm"
 ) -> GramianResult:
@@ -333,8 +320,9 @@ def finite_horizon_gramian(
     Raises
     ------
     ArithmeticError
-        If ||A|| T, ||B B^T|| or the ``augmented_expm`` Gramian leaves the
-        double range.
+        If the ``augmented_expm`` Gramian leaves the double range: an entry
+        overflows, or a nonzero entry underflows to 0.  ||A|| T and
+        ||B B^T|| may lie outside the double range.
     QuadratureConvergenceError
         If adaptive Simpson does not converge within the panel cap.
     """

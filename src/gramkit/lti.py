@@ -22,8 +22,9 @@ import numpy as np
 
 # |zeta - 1| below CRITICAL_BAND classifies as critically damped.  The
 # exponential itself needs no band: zeta^2 - 1 is formed as (1-zeta)(1+zeta),
-# exact near 1, and the damped sine enters through sinc, so both regime forms
-# reduce continuously to the critical one (C = 1, S = t) at zeta = 1.
+# exact near 1, and the damped sine enters through sinc while omega_d t is
+# small, so both regime forms reduce continuously to the critical one
+# (C = 1, S = t) at zeta = 1.
 CRITICAL_BAND = 1e-9
 
 
@@ -369,7 +370,15 @@ def _damped_cos_sin(zeta: float, omega_n: float, t: np.ndarray) -> tuple[np.ndar
     if zeta <= 1.0:
         wd = omega_n * math.sqrt((1.0 - zeta) * (1.0 + zeta))
         env = np.exp(-decay)
-        return env * np.cos(wd * t), env * t * np.sinc(wd * t / math.pi)
+        phase = wd * t
+        # S is sin(w_d t) / w_d from |w_d t| = 1 on, in phase with the
+        # cosine; t sinc(w_d t / pi), whose round trip through / pi shifts
+        # its phase by about w_d t ulps, keeps S accurate below that and is
+        # the critical form S = t at w_d = 0 (zeta == 1).
+        s_d = np.asarray(env * np.sin(phase) / wd) if wd > 0.0 else np.empty(t.shape)
+        near = np.abs(phase) < 1.0
+        s_d[near] = env[near] * t[near] * np.sinc(phase[near] / math.pi)
+        return env * np.cos(phase), s_d
     # Overdamped: combine the decay with cosh/sinh so no intermediate
     # overflows; the small-mu*t cancellation goes through expm1 at a
     # non-positive argument, factored on the larger of hi and lo.

@@ -257,6 +257,30 @@ class TestVerification:
         measured_bumped = verify_control(model, bumped).measured_energy
         assert measured_bumped == pytest.approx(1.21 * measured, rel=1e-9, abs=0.0)
 
+    def test_measured_energy_where_u_squared_overflows(self):
+        # Samples near 1e154 square past the double range while the integral
+        # of u^2 stays inside it.  The measured energy scales by exactly 4**k
+        # with a 2**k scale of u, and one that leaves the range is refused by
+        # name; neither warns.
+        model = osc_model(0.5, 1.0)
+        base = synthesize_min_energy_control(model, 1e-3, np.array([1.0, 0.0]), 2000)
+
+        def measured(k):
+            profile = ControlProfile(
+                times=base.times,
+                values=np.ldexp(base.values, k),
+                target=np.ldexp(base.target, k),
+                predicted_energy=0.0,
+            )
+            return verify_control(model, profile).measured_energy
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.abs(np.ldexp(base.values, 490)).max() > 1.35e154  # > sqrt(max double)
+            assert measured(490) == np.ldexp(measured(0), 980)
+            with pytest.raises(OverflowError, match=r"integral of \|\|u\|\|\^2 dt, overflows"):
+                measured(520)
+
     def test_perturbed_controls_never_beat_the_minimum(self):
         # Any admissible control reaching the same target costs at least the
         # predicted energy: perturb, re-target the residual, and compare.

@@ -13,7 +13,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gramkit import cli
 
@@ -153,6 +153,12 @@ def test_sweep_fails_as_analyze_at_its_failing_point(grids, point, message, T_gr
 
 
 @contract
+# u^2 overflows at samples near 1e154 although the integral of u^2 does not;
+# the last one's integral does overflow (exit 3).
+@example(zeta=0.5, omega_n=1.0, T=0.001, xf=(1e148, 0.0), steps=2000)
+@example(zeta=0.5, omega_n=1.0, T=0.001, xf=(3e148, 0.0), steps=2000)
+@example(zeta=0.5, omega_n=1.0, T=0.001, xf=(1e149, 0.0), steps=2000)
+@example(zeta=0.5, omega_n=1.0, T=0.001, xf=(1.2239598694680114e149, 0.0), steps=2000)
 @given(
     zeta=finite,
     omega_n=finite,

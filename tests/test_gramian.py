@@ -1,11 +1,12 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gramkit.gramian as gramian_mod
 from gramkit.errors import NonHurwitzError, QuadratureConvergenceError
@@ -39,6 +40,14 @@ def osc_model(zeta, omega_n):
 
 def analytic_infinite(zeta, omega_n):
     return np.diag([1.0 / (4.0 * zeta * omega_n**3), 1.0 / (4.0 * zeta * omega_n)])
+
+
+def closed_form_error(W, zeta, omega_n):
+    """Largest entry error of W against W_inf, entry (i, j) taken on the
+    scale sqrt(W_ii W_jj) of W_inf, so the small diagonal entry counts as
+    the large one."""
+    d = np.sqrt(np.diag(analytic_infinite(zeta, omega_n)))
+    return float(np.abs(W / d[:, None] / d[None, :] - np.eye(2)).max())
 
 
 def random_hurwitz(n, abscissa):
@@ -313,26 +322,53 @@ class TestFiniteHorizon:
         with pytest.raises(ArithmeticError, match="double range"):
             raise failure
 
-    def test_unscalable_row_is_flagged_at_its_row(self):
-        # ||A|| T of the second row overflows: that row alone is refused, by
-        # its T, and the rows before it are still produced.  An overflowing
-        # ||B B^T|| is refused the same way, and neither warns.
-        models = [osc_model(0.5, 1.0), osc_model(0.5, 1e100), osc_model(0.5, 1.0)]
-        huge_b = StateSpaceModel(-np.eye(2), np.full((2, 1), 1e200))
+    def test_range_is_decided_by_the_gramian_alone(self):
+        # ||A|| T and ||B B^T|| may leave the double range where W does not:
+        # those rows are returned.  Only a Gramian that leaves the range is
+        # refused, at its row, with the rows before it still produced, and
+        # nothing warns.
+        wide = [osc_model(0.5, 1e10), osc_model(0.5, 1e100)]
+        huge_b = StateSpaceModel(-np.eye(2), np.full((2, 1), 1e154))
+        out_of_range = [StateSpaceModel(-np.eye(2), np.full((2, 1), b)) for b in (1e200, 1e-170)]
+        models = [*wide, out_of_range[0], wide[0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            singles = [finite_horizon_gramian(model, 1e300).matrix for model in wide]
+            w11 = finite_horizon_gramian(huge_b, 1.0).matrix[0, 0]
+            for model in out_of_range:
+                with pytest.raises(ArithmeticError, match=r"^the Gramian over \[0, 1\.0\] leaves the double range$"):
+                    finite_horizon_gramian(model, 1.0)
             A, B = np.array([m.A for m in models]), np.array([m.B for m in models])
-            stacked, failure = gramian_mod._finite_horizon_gramians(A, B, [1e300, 1e300, 2.0])
-            with pytest.raises(ArithmeticError, match=r"^the Gramian over \[0, 1e\+300\] cannot be scaled"):
-                finite_horizon_gramian(models[1], 1e300)
-            with pytest.raises(ArithmeticError, match=r"^the Gramian over \[0, 1\.0\] cannot be scaled"):
-                finite_horizon_gramian(huge_b, 1.0)
-        assert len(stacked) == 1
-        W = gramian_mod._symmetrize(stacked[0])
-        assert np.array_equal(W, finite_horizon_gramian(models[0], 1e300).matrix)
-        assert str(failure) == (
-            "the Gramian over [0, 1e+300] cannot be scaled: ||A|| T or ||B B^T|| overflows"
-        )
+            stacked, failure = gramian_mod._finite_horizon_gramians(A, B, [1e300, 1e300, 1.0, 2.0])
+        for W, omega_n in zip(singles, (1e10, 1e100)):
+            assert closed_form_error(W, 0.5, omega_n) <= 1e-14
+        expected = 1e308 * (1.0 - math.exp(-2.0)) / 2.0
+        assert abs(w11 - expected) <= 1e-14 * expected
+        assert len(stacked) == 2
+        for W, single in zip(stacked, singles):
+            assert np.array_equal(gramian_mod._symmetrize(W), single)
+        assert str(failure) == "the Gramian over [0, 1.0] leaves the double range"
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        zeta=st.floats(min_value=0.1, max_value=10.0),
+        log_omega=st.floats(min_value=-100.0, max_value=100.0),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_representable_gramians_are_returned(self, zeta, log_omega, fraction):
+        # Horizons on which the slowest mode has decayed by e^-50 or more, up
+        # to T = 1e300: W_T is W_inf to double precision, and it is returned
+        # however far ||A|| T lies outside the double range.
+        omega_n = 10.0**log_omega
+        w_inf = np.diag(analytic_infinite(zeta, omega_n))
+        assume(np.all((sys.float_info.min <= w_inf) & (w_inf < math.inf)))
+        slowest = zeta * omega_n if zeta <= 1.0 else omega_n / (zeta + math.sqrt(zeta * zeta - 1.0))
+        shortest = math.log10(50.0 / slowest)
+        T = 10.0 ** (shortest + fraction * (300.0 - shortest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = finite_horizon_gramian(osc_model(zeta, omega_n), T).matrix
+        assert closed_form_error(W, zeta, omega_n) <= 1e-13
 
     def test_quadrature_panel_cap(self, monkeypatch):
         monkeypatch.setattr(gramian_mod, "QUADRATURE_PANEL_CAP", 8)
@@ -603,7 +639,9 @@ class TestLevelSynchronousSimpson:
     # Adaptive Simpson Gramians as float.hex, from the scheme that evaluated
     # each forced bisection level in its own integrand call: oscillators
     # with omega_n = 1 keyed by (zeta, T), a 3 x 3 system at T = 2 and the
-    # oscillator (0.3, 1) at T = 1e-300.
+    # oscillator (0.3, 1) at T = 1e-300.  (0, 7.3), (0.3, 2) and (0.3, 7.3)
+    # were captured again when oscillator_expm took its sine entry as
+    # sin(omega_d t) / omega_d from |omega_d t| = 1 on.
     PINNED_BITS = {
         (0.0, 1.0): [
             ["0x1.173848a9725dep-2", "0x1.6a88995d4dc7bp-2"],
@@ -614,20 +652,20 @@ class TestLevelSynchronousSimpson:
             ["0x1.a7553036d9259p-2", "0x1.9f2118888f856p-1"],
         ],
         (0.0, 7.3): [
-            ["0x1.b691121a9039cp+1", "0x1.724cd576c616fp-2"],
-            ["0x1.724cd576c616fp-2", "0x1.efd5544bd62cfp+1"],
+            ["0x1.b691121a9039dp+1", "0x1.724cd576c6170p-2"],
+            ["0x1.724cd576c6170p-2", "0x1.efd5544bd62cfp+1"],
         ],
         (0.3, 1.0): [
             ["0x1.70c60992e6e44p-3", "0x1.9ae827e5693b6p-3"],
             ["0x1.9ae827e5693b6p-3", "0x1.ce5e89e5abf76p-2"],
         ],
         (0.3, 2.0): [
-            ["0x1.2cbf241bca64ap-1", "0x1.2dda452d5cdd4p-3"],
+            ["0x1.2cbf241bca64bp-1", "0x1.2dda452d5cdd4p-3"],
             ["0x1.2dda452d5cdd4p-3", "0x1.f4945827b1a7ep-2"],
         ],
         (0.3, 7.3): [
-            ["0x1.a34296f0ea4eap-1", "0x1.6527b99406820p-9"],
-            ["0x1.6527b99406820p-9", "0x1.a68c3e88a4d35p-1"],
+            ["0x1.a34296f0ea4eap-1", "0x1.6527b99406818p-9"],
+            ["0x1.6527b99406818p-9", "0x1.a68c3e88a4d35p-1"],
         ],
         (1.0, 1.0): [
             ["0x1.4b15566a13bb2p-4", "0x1.152aaa3bf8183p-4"],

@@ -298,6 +298,20 @@ class TestMatrixExponential:
             expected_det = math.exp(np.trace(A) * t)
             assert np.linalg.det(Et) == pytest.approx(expected_det, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("omega_n", [1e-3, 1.0, 7.0, 1e3])
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0, 1.5])
+    def test_determinant_at_every_phase(self, zeta, omega_n):
+        # det exp(A t) = exp(-2 zeta omega_n t) in every regime, on t up to
+        # 1e15.  It is held to 8 units of 2**-53 on the scale |ad| + |bc| of
+        # the cofactor products, so decayed and undamped rows count alike; a
+        # sine entry whose phase drifts from the cosine's misses by about
+        # omega_d t units.
+        t = np.logspace(-6, 15, 400)
+        E = oscillator_expm(zeta, omega_n, t)
+        a, b, c, d = E[:, 0, 0], E[:, 0, 1], E[:, 1, 0], E[:, 1, 1]
+        gap = np.abs(a * d - b * c - np.exp(-2.0 * zeta * omega_n * t))
+        assert np.all(gap <= 8.0 * 2.0**-53 * (np.abs(a * d) + np.abs(b * c)))
+
     def test_squaring_count_recorded(self):
         result = expm_scaling_squaring(np.array([[0.0, 1.0], [-16.0, -4.0]]))
         assert result.squarings >= 1

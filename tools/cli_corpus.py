@@ -48,7 +48,8 @@ FAILING_SWEEPS = [
     # model build: the oscillator matrix of row 1 overflows
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e200", "--T-grid", "1"],
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e200"],
-    # kernel setup: ||A|| T of row 1 overflows; row 0 fails the duality constant
+    # row 0 fails the duality constant; row 1 (||A|| T far above the double
+    # range) would fail only at its det(W) = 2.5e-401 underflow
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e100", "--T-grid", "1e300", "--duality-c", "0"],
     # closed form
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e103"],
@@ -75,6 +76,9 @@ SYNTH_POINTS = [["--zeta", z, "--omega-n", "1", "--T", "3"] for z in ("0", "0.5"
 SYNTH_POINTS.append(["--zeta", "0.5", "--omega-n", "1", "--T", "200"])
 TARGETS = ["1,0", "0,1", "1e300,0", "0,0"]
 STEPS = [[], ["--steps", "500"], ["--steps", "301"]]
+# Samples near 1e154, whose squares overflow although the integral of u^2
+# does not; the integral of the last one overflows (exit 3).
+ENERGY_RANGE_TARGETS = ["1e148,0", "3e148,0", "1e149,0", "1.2239598694680114e149,0"]
 
 
 def corpus() -> list[list[str]]:
@@ -103,6 +107,9 @@ def corpus() -> list[list[str]]:
                 for target in TARGETS:
                     runs.append(["synthesize", *point, "--xf", target, *steps,
                                  "--out", OUT, "--format", fmt])
+    for target in ENERGY_RANGE_TARGETS:
+        runs.append(["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "0.001",
+                     "--xf", target, "--out", OUT])
     return runs
 
 
