@@ -208,13 +208,16 @@ def verify_control(model: StateSpaceModel, profile: ControlProfile) -> EnergyVer
     """
     steps = len(profile.times) - 1
     T = float(profile.times[-1])
-    # A verifier that diverges (RK4 beyond its stability region) reports a
-    # non-finite error, which fails the caller's gate, rather than warnings.
+    # The profile's exact response, its samples joined linearly.  Both norms
+    # are taken on 2**-e times their vectors, e the exponent of max|target|,
+    # so that a representable target's norm cannot overflow; a state that
+    # leaves the double range fails the caller's gate without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         trajectory = simulate(model, profile.values, np.zeros(model.n), T, steps)
         final = trajectory.states[-1]
-        target_norm = float(np.linalg.norm(profile.target))
-        gap = float(np.linalg.norm(final - profile.target))
+        e = math.frexp(float(np.abs(profile.target).max()))[1]
+        target_norm = float(np.linalg.norm(np.ldexp(profile.target, -e)))
+        gap = float(np.linalg.norm(np.ldexp(final - profile.target, -e)))
         final_error = gap / target_norm if target_norm > 0.0 else gap
         measured = _integrate_squared_norm(profile.values, T / steps)
         if profile.predicted_energy > 0.0:

@@ -175,8 +175,9 @@ def _finite_horizon_gramians(
     - Balancing keeps the base step on the time scale of the dynamics when
       the entries of A span many orders of magnitude.
     - d is taken from the exponents of ||A_s||_1 and T, not from their
-      product, so it is defined where the product overflows; wherever the
-      product is a normal double, d = frexp(||A_s||_1 T)[1] - 1 (at least 0).
+      product, so it is defined where the product or the norm itself
+      overflows; wherever the product is a normal double,
+      d = frexp(||A_s||_1 T)[1] - 1 (at least 0).
     - The power of two 2**-b brings max|B'| into [1/2, 1), so Q cannot
       overflow and its largest entries cannot underflow, and 2**-c brings
       ||2**-c Q h||_1 into [1/4, 1), so the Q block cannot force squarings:
@@ -201,9 +202,12 @@ def _finite_horizon_gramians(
         b = np.frexp(np.abs(B).max(axis=(1, 2)))[1]
         B = np.ldexp(B, -b[:, None, None])
         Q = B @ B.swapaxes(1, 2)
-        (m_A, E_A), (m_T, E_T) = np.frexp(_norm1(A)), np.frexp(T)
+        # ||A_s||_1 = m_A * 2**(E_A + a) from the column sums of 2**-a A_s,
+        # a the exponent of max|A_s|, which cannot overflow.
+        a = np.frexp(np.abs(A).max(axis=(1, 2)))[1]
+        (m_A, E_A), (m_T, E_T) = np.frexp(_norm1(np.ldexp(A, -a[:, None, None]))), np.frexp(T)
         m, E = np.frexp(m_A * m_T)
-        d = np.where(m == 0.0, 0, np.maximum(E + E_A + E_T - 1, 0))
+        d = np.where(m == 0.0, 0, np.maximum(E + E_A + a + E_T - 1, 0))
         h = np.ldexp(T, -d)
         c = np.frexp(_norm1(Q))[1] + np.frexp(h)[1]
         M[:, :n, :n] = -A

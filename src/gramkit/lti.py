@@ -381,10 +381,13 @@ def _damped_cos_sin(zeta: float, omega_n: float, t: np.ndarray) -> tuple[np.ndar
         return env * np.cos(phase), s_d
     # Overdamped: combine the decay with cosh/sinh so no intermediate
     # overflows; the small-mu*t cancellation goes through expm1 at a
-    # non-positive argument, factored on the larger of hi and lo.
-    mu = omega_n * math.sqrt((zeta - 1.0) * (zeta + 1.0))
+    # non-positive argument, factored on the larger of hi and lo.  The slow
+    # rate zeta*omega_n - mu is formed as omega_n / (zeta + root), which
+    # does not cancel at large zeta.
+    root = math.sqrt((zeta - 1.0) * (zeta + 1.0))
+    mu = omega_n * root
     lo = np.exp(-(mu * t) - decay)
-    hi = np.exp(mu * t - decay)
+    hi = np.exp(-(omega_n / (zeta + root)) * t)
     s_d = np.where(t >= 0.0, hi, -lo) * -np.expm1(-2.0 * mu * np.abs(t)) / (2.0 * mu)
     return 0.5 * (hi + lo), s_d
 
@@ -441,35 +444,23 @@ def matrix_exponential(A: np.ndarray, t: float | np.ndarray) -> np.ndarray:
         return _expm_stack(A * t.reshape(-1, 1, 1))[0].reshape(t.shape + A.shape)
 
 
-def _rk4_affine_step(model: StateSpaceModel, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One RK4 step with linearly interpolated input as ``x + E x + S0 u_i + S1 u_i+1``.
+def _foh_step(model: StateSpaceModel, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact step ``x_i+1 = x_i + E x_i + S0 u_i + S1 u_i+1`` of an input linear between samples.
 
-    The step is affine in (x, u_i, u_i+1), so the four stages run once on
-    identity blocks give [E | S0 | S1]; E = R - I is returned without the
-    identity so that callers can keep its low bits.
+    One exponential F of [[A h, I h, 0], [0, 0, I], [0, 0, 0]] (Van Loan,
+    IEEE TAC 23, 1978) gives G0 = F[:n, n:2n], the integral of e^{A s} over
+    [0, h], and G1 = F[:n, 2n:], that of e^{A (h - s)} s / h.  Then
+    E = A G0 = e^{A h} - I, which keeps the low bits that rounding e^{A h}
+    drops, S0 = (G0 - G1) B and S1 = G1 B; no block depends on B's scale.
     """
-    A, B, n, m = model.A, model.B, model.n, model.m
-    x, u0, u1 = np.eye(n, n + 2 * m), np.eye(m, n + 2 * m, n), np.eye(m, n + 2 * m, n + m)
-    um = 0.5 * (u0 + u1)
-    k1 = A @ x + B @ u0
-    k2 = A @ (x + 0.5 * h * k1) + B @ um
-    k3 = A @ (x + 0.5 * h * k2) + B @ um
-    k4 = A @ (x + h * k3) + B @ u1
-    step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return step[:, :n], step[:, n : n + m], step[:, n + m :]
-
-
-def _times_transpose(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X M^T, bit for bit ``X @ M.T``, with no transposed view as an operand.
-
-    numpy multiplies rows by a transposed view through a path about three
-    times slower than by a contiguous copy (2,000 rows by a 2 x 2 factor),
-    with the same bits.  A single row goes to a matrix-vector product
-    instead, whose bits the copy would change; it is formed as M x.
-    """
-    if len(X) == 1:
-        return (M @ X[0])[None]
-    return X @ M.T.copy()
+    A, n = model.A, model.n
+    M = np.zeros((1, 3 * n, 3 * n))
+    M[0, :n, :n] = A * h
+    M[0, :n, n : 2 * n] = h * np.eye(n)
+    M[0, n : 2 * n, 2 * n :] = np.eye(n)
+    F = _expm_stack(M)[0][0]
+    G0, G1 = F[:n, n : 2 * n], F[:n, 2 * n :]
+    return A @ G0, (G0 - G1) @ model.B, G1 @ model.B
 
 
 def simulate(
@@ -479,29 +470,29 @@ def simulate(
     T: float,
     steps: int,
 ) -> Trajectory:
-    """Integrate ``xdot = A x + B u`` with classical fixed-step RK4.
+    """Propagate ``xdot = A x + B u`` exactly for the input linear between samples.
 
-    With linearly interpolated input one RK4 step is the affine map
-    ``x_i+1 = R x_i + d_i`` with a constant R, so the trajectory is computed
-    as a prefix scan in ceil(log2(steps)) levels of matrix products.  No
-    product over the grid takes a transposed view as an operand: the drive
-    term and each level multiply by a contiguous copy of the transposed
-    step block, which gives the bits of the view at about a third of its
-    cost (see ``_times_transpose``).
+    The input is the piecewise-linear interpolant of its samples, and each
+    step is that input's exact response, the affine map
+    ``x_i+1 = R x_i + d_i`` with R = e^{A h} (see ``_foh_step``): there is
+    no order of accuracy in h and no stability limit on it.  The trajectory
+    is computed as a prefix scan in ceil(log2(steps)) levels of matrix
+    products.  Each product over the grid takes a contiguous copy of the
+    transposed step block: numpy multiplies rows by a transposed view
+    through a path about three times slower (2,000 rows by a 2 x 2 factor),
+    with the same bits.
 
     Parameters
     ----------
     model : StateSpaceModel
     u : ndarray, shape (steps + 1,) or (steps + 1, m)
-        Input samples on the uniform grid.  Stage values at interval
-        midpoints use linear interpolation between neighboring samples, so
-        order-4 accuracy holds only for smooth inputs.
+        Input samples on the uniform grid, joined linearly.
     x0 : ndarray, shape (n,)
         Initial state.
     T : float
         Horizon, > 0.
     steps : int
-        Number of RK4 steps, >= 1.
+        Number of grid intervals, >= 1.
 
     Returns
     -------
@@ -521,7 +512,7 @@ def simulate(
         raise ValueError(f"u must have shape ({steps + 1}, {m}), got {u.shape}")
     u = _require_finite("u", u)
 
-    E, S0, S1 = _rk4_affine_step(model, T / steps)
+    E, S0, S1 = _foh_step(model, T / steps)
     # Hillis-Steele / Kogge-Stone scan over the affine maps: after the level
     # of stride s, row i of states[1:] holds the sum of R^j c_i-j over j < 2s,
     # where c_0 = R x0 + d_0 and c_i = d_i.  E holds R^s - I (R^2s - I =
@@ -529,12 +520,12 @@ def simulate(
     times = np.linspace(0.0, T, steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x0
-    states[1:] = _times_transpose(u[:-1], S0) + _times_transpose(u[1:], S1)
+    states[1:] = u[:-1] @ S0.T.copy() + u[1:] @ S1.T.copy()
     states[1] += x0 + E @ x0
     s = 1
     while s < steps:
         prev = states[1 : steps + 1 - s]
-        states[s + 1 :] += prev + _times_transpose(prev, E)
+        states[s + 1 :] += prev + prev @ E.T.copy()
         s *= 2
         if s < steps:  # one squaring past the last level could overflow
             E = 2.0 * E + E @ E

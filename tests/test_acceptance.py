@@ -5,7 +5,8 @@ Tolerances are pinned here and nowhere else loosened.  Reference values
 come from the analytical oscillator results and from oracles that are
 independent of the code paths they check (scaling-and-squaring for the
 closed-form exponentials, the analytic diagonal for the Lyapunov solve,
-RK4 simulation plus composite Simpson for the synthesized control).
+exact propagation of the linearly interpolated samples plus composite
+Simpson for the synthesized control).
 """
 
 import math

@@ -505,16 +505,19 @@ class TestSynthesize:
     @pytest.mark.parametrize(
         "args",
         [
-            # h * rho(A) is ~3.4 at the default 2000 steps, past RK4's
-            # stability region, so the verifier's state overflows to NaN.
+            # h * rho(A) is 3.4 and 5.8: near T the control's fast mode
+            # changes by e^3.4 and e^5.8 within one step, so its samples
+            # joined linearly miss the target by 0.223 and 1.04, and the
+            # verifier's exact response reports that miss.
             ["--zeta", "15", "--omega-n", "15", "--T", "15"],
             ["--zeta", "3", "--omega-n", "10", "--T", "50", "--steps", "500"],
         ],
     )
-    def test_diverged_verifier_is_verification_failure(self, tmp_path, args):
+    def test_coarse_sampling_of_a_fast_mode_is_verification_failure(self, tmp_path, args):
         result = run_cli(
             "synthesize", *args, "--xf", "1,0", "--out", str(tmp_path / "p.csv"),
         )
         assert result.returncode == 4
         assert len(result.stderr.strip().splitlines()) == 1
         assert "verification failed" in result.stderr
+        assert 0.2 < json.loads(result.stdout)["final_state_error"] < 1.1

@@ -281,6 +281,25 @@ class TestVerification:
             with pytest.raises(OverflowError, match=r"integral of \|\|u\|\|\^2 dt, overflows"):
                 measured(520)
 
+    def test_final_state_error_where_the_target_norm_overflows(self):
+        # |x_f| = 2**530 = 3.5e159 squares past the double range, while a
+        # slow oscillator keeps the energy inside it.  Profile and response
+        # scale by exactly 2**530, so the relative error is the one at 2**0;
+        # with unscaled norms it read NaN here, and 0.0 at 2**515.
+        model = osc_model(0.5, 1e-5)
+        base = synthesize_min_energy_control(model, 1e7, np.array([1.0, 0.0]), 2000)
+        scaled = ControlProfile(
+            times=base.times,
+            values=np.ldexp(base.values, 530),
+            target=np.ldexp(base.target, 530),
+            predicted_energy=0.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error = verify_control(model, scaled).final_state_error
+        assert error == verify_control(model, base).final_state_error
+        assert 0.0 < error < 1e-3
+
     def test_perturbed_controls_never_beat_the_minimum(self):
         # Any admissible control reaching the same target costs at least the
         # predicted energy: perturb, re-target the residual, and compare.

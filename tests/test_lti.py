@@ -20,8 +20,8 @@ from gramkit.lti import (
     oscillator_expm,
     simulate,
     _expm_stack,
+    _foh_step,
     _require_uniform_grid,
-    _rk4_affine_step,
 )
 
 # exp(A) for zeta=0.5, omega_n=1, frozen from the scaling-and-squaring
@@ -254,6 +254,21 @@ class TestMatrixExponential:
                         scale = np.abs(ref).max()
                         assert np.abs(got - ref).max() <= 2e-13 * scale, (zeta, t)
 
+    @pytest.mark.parametrize(
+        "zeta, omega_n, t",
+        [(1000.0, 1.0, 2e4), (1000.0, 1.0, 2000.0), (40.0, 1.0, 1000.0), (40.0, 1.0, 8.86),
+         (3.0, 10.0, 13.0), (2.5, 1.5, 8.0)],
+    )
+    def test_overdamped_slow_mode_matches_40_digit_reference(self, zeta, omega_n, t):
+        # The slow mode's rate zeta*omega_n - mu cancels at large zeta when
+        # formed as a difference: (1000, 1, 2e4) was off by 3.3e-10 and
+        # (40, 1, 1000) by 6.3e-12; the worst of these is now 1.9e-15.
+        with mpmath.workdps(40):
+            A = mpmath.matrix([[0, 1], [-mpmath.mpf(omega_n) ** 2, -2 * mpmath.mpf(zeta) * omega_n]])
+            ref = np.array(mpmath.expm(A * t).tolist(), dtype=float)
+        got = oscillator_expm(zeta, omega_n, t)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_general_path_matches_scipy(self):
         rng = np.random.default_rng(123)
         for _ in range(25):
@@ -341,27 +356,40 @@ class TestMatrixExponential:
 
 
 def exact_step_recurrence(model, u, x0, T, steps):
-    """States of x_i+1 = x_i + E x_i + S0 u_i + S1 u_i+1 in 30-digit arithmetic.
+    """States of the exact response to the linearly interpolated input, in 30-digit arithmetic.
 
-    E, S0 and S1 are simulate's float64 step blocks, so R = I + E and the
-    drive are formed without rounding; only the recurrence itself is oracle.
+    The step blocks come from a 30-digit exponential of the block matrix
+    [[A h, I h, 0], [0, 0, I], [0, 0, 0]] at simulate's float64 step h, and
+    the recurrence x_i+1 = Phi x_i + S0 u_i + S1 u_i+1 runs at 30 digits, so
+    nothing here shares simulate's float64 blocks.
     """
-    E, S0, S1 = _rk4_affine_step(model, T / steps)
+    n = model.n
     with mpmath.workdps(30):
-        rows = [[mpmath.mpf(v) for v in e + s] for e, s in zip(E.tolist(), np.hstack([S0, S1]).tolist())]
+        h = mpmath.mpf(T / steps)
+        M = mpmath.zeros(3 * n, 3 * n)
+        for i in range(n):
+            for j in range(n):
+                M[i, j] = mpmath.mpf(float(model.A[i, j])) * h
+            M[i, n + i] = h
+            M[n + i, 2 * n + i] = 1
+        F = mpmath.expm(M)
+        B = mpmath.matrix(model.B.tolist())
+        G0, G1 = F[:n, n : 2 * n], F[:n, 2 * n :]
+        S0, S1 = (G0 - G1) * B, G1 * B
+        rows = [[F[i, j] for j in range(n)] + [S[i, k] for S in (S0, S1) for k in range(model.m)] for i in range(n)]
         samples = [[mpmath.mpf(v) for v in row] for row in u.tolist()]
         x = [mpmath.mpf(v) for v in x0.tolist()]
         out = [x]
         for i in range(steps):
             xu = x + samples[i] + samples[i + 1]
-            x = [xk + mpmath.fdot(row, xu) for xk, row in zip(x, rows)]
+            x = [mpmath.fdot(row, xu) for row in rows]
             out.append(x)
         return np.array([[float(v) for v in row] for row in out])
 
 
 def stepped_recurrence(model, u, x0, T, steps):
-    """The per-step float64 loop x <- R x + d_i that simulate's scan replaced."""
-    E, S0, S1 = _rk4_affine_step(model, T / steps)
+    """The per-step float64 loop x <- R x + d_i on simulate's step blocks."""
+    E, S0, S1 = _foh_step(model, T / steps)
     R = np.eye(model.n) + E
     drive = u[:-1] @ S0.T + u[1:] @ S1.T
     states = [x0]
@@ -371,35 +399,35 @@ def stepped_recurrence(model, u, x0, T, steps):
 
 
 class TestSimulate:
-    def test_matches_stage_by_stage_rk4(self):
-        # The precomputed affine step against the four RK4 stages evaluated
-        # at every step with linearly interpolated input.
+    def test_matches_hold_of_the_input_block(self):
+        # Against the other Van Loan construction, one scipy exponential of
+        # [[A h, B h, 0], [0, 0, I], [0, 0, 0]], stepped in float64.
         rng = np.random.default_rng(8)
         model = StateSpaceModel(A=rng.normal(size=(3, 3)) - 2.0 * np.eye(3), B=rng.normal(size=(3, 2)))
         A, B, T, steps = model.A, model.B, 2.0, 50
         u = rng.normal(size=(steps + 1, 2))
         x0 = rng.normal(size=3)
         h = T / steps
+        M = np.zeros((7, 7))
+        M[:3, :3], M[:3, 3:5], M[3:5, 5:] = A, B, np.eye(2)
+        F = scipy.linalg.expm(M * h)
+        Phi, P0, P1 = F[:3, :3], F[:3, 3:5], F[:3, 5:] / h
         x, expected = x0, [x0]
         for i in range(steps):
-            um = 0.5 * (u[i] + u[i + 1])
-            k1 = A @ x + B @ u[i]
-            k2 = A @ (x + 0.5 * h * k1) + B @ um
-            k3 = A @ (x + 0.5 * h * k2) + B @ um
-            k4 = A @ (x + h * k3) + B @ u[i + 1]
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = Phi @ x + (P0 - P1) @ u[i] + P1 @ u[i + 1]
             expected.append(x)
         states = simulate(model, u, x0, T, steps).states
-        np.testing.assert_allclose(states, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+        np.testing.assert_allclose(states, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
 
     def test_scan_against_exact_recurrence(self):
         # Oscillators across regimes up to T = 200, two multi-input models
         # and one 20,000-step run, with white-noise input (the hardest case
         # for cancellation).  Each run stays within 1e-14 max|x| of the exact
-        # recurrence; over the grid the scan's worst error is no worse than
-        # the per-step loop's.  Per run the loop can win at the 1e-15 level
-        # (lightly damped, large omega_n * h), so that comparison is not
-        # made run by run.
+        # response (worst 9.1e-15, at zeta = 0, T = 200, where rounding the
+        # step map alone can cost about omega_n T u); over the grid the
+        # scan's worst error is no worse than the per-step loop's (1.3e-13).
+        # Per run the loop can win at the 1e-15 level (lightly damped, long
+        # horizons), so that comparison is not made run by run.
         rng = np.random.default_rng(61)
         cases = [(osc_model(z, 1.0), T, 2000) for z in (0.0, 0.02, 1.0, 2.5, 3.0) for T in (1.0, 20.0, 200.0)]
         for n in (3, 12):
@@ -432,15 +460,13 @@ class TestSimulate:
         np.testing.assert_allclose(traj.states, exact, rtol=0.0, atol=1e-14 * np.abs(exact).max())
 
     def test_no_spurious_overflow(self):
-        # R^2000 = 9.5e303 is finite; R^4096 is not, so the scan must not
-        # square its powers past the last level it uses.
+        # R^2000 = e^700 = 1.0e304 is finite; R^4096 is not, so the scan must
+        # not square its powers past the last level it uses.
         model = StateSpaceModel(A=np.array([[1.0]]), B=np.array([[1.0]]))
-        x0, u = np.array([1.0]), np.zeros(2001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            final = simulate(model, u, x0, 700.0, 2000).states[-1, 0]
-        assert final == pytest.approx(stepped_recurrence(model, u[:, None], x0, 700.0, 2000)[-1, 0], rel=1e-12, abs=0.0)
-        assert final == pytest.approx(9.4995e303, rel=1e-4, abs=0.0)
+            final = simulate(model, np.zeros(2001), np.array([1.0]), 700.0, 2000).states[-1, 0]
+        assert final == pytest.approx(math.exp(700.0), rel=1e-12, abs=0.0)
 
     def test_equilibrium_stays_put(self):
         model = osc_model(0.5, 1.0)
@@ -462,17 +488,18 @@ class TestSimulate:
         exact = np.array([matrix_exponential(model.A, t) @ x0 for t in traj.times])
         assert np.abs(traj.states - exact).max() < 1e-6
 
-    def test_order_four_convergence(self):
-        model = osc_model(0.5, 1.0)
-        x0 = np.array([1.0, 0.0])
-        exact = matrix_exponential(model.A, 5.0) @ x0
-
-        def final_error(steps):
-            traj = simulate(model, np.zeros(steps + 1), x0, T=5.0, steps=steps)
-            return np.linalg.norm(traj.states[-1] - exact)
-
-        ratio = final_error(200) / final_error(400)
-        assert 12.0 < ratio < 20.0
+    def test_zero_input_response_is_the_exponential(self):
+        # Each step is e^{A h} exactly, so without input the state at every
+        # node is e^{A t_i} x0; the worst measured gap was 9.7e-15 of max|x|,
+        # at zeta = 0, T = 50, where the phase error grows with omega_n t.
+        x0 = np.array([1.0, -0.5])
+        for zeta in (0.0, 0.5, 1.0, 3.0):
+            for T, steps in ((5.0, 200), (50.0, 2000)):
+                model = osc_model(zeta, 1.0)
+                traj = simulate(model, np.zeros(steps + 1), x0, T=T, steps=steps)
+                exact = matrix_exponential(model.A, traj.times) @ x0
+                error = np.abs(traj.states - exact).max() / np.abs(exact).max()
+                assert error <= 2e-14, (zeta, T, error)
 
     def test_validation(self):
         model = osc_model(0.5, 1.0)

@@ -79,6 +79,12 @@ STEPS = [[], ["--steps", "500"], ["--steps", "301"]]
 # Samples near 1e154, whose squares overflow although the integral of u^2
 # does not; the integral of the last one overflows (exit 3).
 ENERGY_RANGE_TARGETS = ["1e148,0", "3e148,0", "1e149,0", "1.2239598694680114e149,0"]
+# Coarse steps on fast or lightly damped modes: the control, its samples joined
+# linearly, misses the gate by 2.35 and 0.275 (exit 4, finite reports).
+COARSE_TRANSFERS = [
+    ["--zeta", "1.6", "--omega-n", "15", "--T", "50", "--steps", "500"],
+    ["--zeta", "0.05", "--omega-n", "8", "--T", "400"],
+]
 
 
 def corpus() -> list[list[str]]:
@@ -110,6 +116,8 @@ def corpus() -> list[list[str]]:
     for target in ENERGY_RANGE_TARGETS:
         runs.append(["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "0.001",
                      "--xf", target, "--out", OUT])
+    for point in COARSE_TRANSFERS:
+        runs.append(["synthesize", *point, "--xf", "1,0", "--out", OUT])
     return runs
 
 
