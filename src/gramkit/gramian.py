@@ -247,8 +247,9 @@ def _adaptive_simpson_gramian(
     integrand.  The six forced levels therefore leave 64 panels of [0, T]
     (126 panels counted against ``panel_cap``), and those panels with their
     lm and rm form one grid of 257 nodes, evaluated in one integrand call.
-    Panels are kept left halves first at every level, and the finished ones
-    are summed in that order.
+    Those 64 panels start in grid order; each further level keeps the left
+    halves of its open panels before the right halves, and the finished
+    panels of a level are summed in that order.
     """
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -271,14 +272,10 @@ def _adaptive_simpson_gramian(
         grid[::2], grid[1::2] = t, midpoints(t[:-1], t[1:])
         t = grid
     ft = f(t)
-    # Positions of the 64 panels in the order the forced levels leave them,
-    # left halves first.
-    first = np.zeros(1, dtype=np.intp)
-    for _ in range(6):
-        first = np.concatenate([2 * first, 2 * first + 1])
-    # Open panels: nodes a, lm, m, rm, b and the integrand there.
-    a, lm, m, rm, b = (t[4 * first + i] for i in range(5))
-    fa, flm, fm, frm, fb = (ft[4 * first + i] for i in range(5))
+    # Open panels in grid order, panel j on nodes 4j..4j+4: a, lm, m, rm, b
+    # and the integrand there.
+    a, lm, m, rm, b = (t[i : i + 253 : 4] for i in range(5))
+    fa, flm, fm, frm, fb = (ft[i : i + 253 : 4] for i in range(5))
     whole = ((b - a) / 6.0)[:, None, None] * (fa + 4.0 * fm + fb)
     total, panels, tol = 0.0, 126, tol / 2 ** 6
     while True:

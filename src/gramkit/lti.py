@@ -22,8 +22,8 @@ import numpy as np
 
 # |zeta - 1| below CRITICAL_BAND classifies as critically damped.  The
 # exponential itself needs no band: zeta^2 - 1 is formed as (1-zeta)(1+zeta),
-# exact near 1, and the damped sine enters through sinc while omega_d t is
-# small, so both regime forms reduce continuously to the critical one
+# exact near 1, and the damped sine sin(omega_d t) / omega_d tends to t as
+# omega_d -> 0, so both regime forms reduce continuously to the critical one
 # (C = 1, S = t) at zeta = 1.
 CRITICAL_BAND = 1e-9
 
@@ -364,20 +364,16 @@ def _damped_cos_sin(zeta: float, omega_n: float, t: np.ndarray) -> tuple[np.ndar
 
     C and S solve C'' = s*C, S'' = s*S with s = omega_n^2*(zeta^2 - 1),
     C(0)=1, S(0)=0, S'(0)=1; the regime exponential is then
-    exp(A t) = Cd*I + Sd*(A + zeta*omega_n*I).
+    exp(A t) = Cd*I + Sd*(A + zeta*omega_n*I).  For zeta <= 1 they are
+    C = cos(omega_d t) and S = sin(omega_d t) / omega_d, in phase at every t,
+    with the critical S = t where omega_d = 0 (zeta == 1).
     """
     decay = zeta * omega_n * t
     if zeta <= 1.0:
         wd = omega_n * math.sqrt((1.0 - zeta) * (1.0 + zeta))
         env = np.exp(-decay)
         phase = wd * t
-        # S is sin(w_d t) / w_d from |w_d t| = 1 on, in phase with the
-        # cosine; t sinc(w_d t / pi), whose round trip through / pi shifts
-        # its phase by about w_d t ulps, keeps S accurate below that and is
-        # the critical form S = t at w_d = 0 (zeta == 1).
-        s_d = np.asarray(env * np.sin(phase) / wd) if wd > 0.0 else np.empty(t.shape)
-        near = np.abs(phase) < 1.0
-        s_d[near] = env[near] * t[near] * np.sinc(phase[near] / math.pi)
+        s_d = env * np.sin(phase) / wd if wd > 0.0 else env * t
         return env * np.cos(phase), s_d
     # Overdamped: combine the decay with cosh/sinh so no intermediate
     # overflows; the small-mu*t cancellation goes through expm1 at a

@@ -1,37 +1,34 @@
-"""Raw-byte pins of library outputs.
+"""Raw-byte pins of library outputs, one table per BLAS kernel set.
 
 Each case below is computed and compared with the sha256 of its bytes (or,
-for a few scalars and small matrices, with float.hex), as captured before
-the products in loops and over node grids were rewritten on contiguous
-operands.  Those rewrites keep every bit, and a change that moves one fails
-here.  The m > 1 cases cover the reshaped products with several inputs, and
-the simulations at 1 and 129 steps the scan levels of a single row.
+for the two quadrature Gramians, with float.hex).  A change that moves one
+bit fails here; a deliberate change captures the pins again after checking
+the new values against a high-precision reference.  The m > 1 cases cover
+the reshaped products with several inputs, and the simulations at 1 and 129
+steps the scan levels of a single row.
 
-The five simulation pins were captured again when each step became the
-exact response to the linearly interpolated input, from one block
-exponential, in place of the classical Runge-Kutta step; against a 30-digit
-evaluation of that response the scan stays within 1e-14 of max|x|.
+The bits depend on the BLAS kernels: OpenBLAS picks a kernel set at run
+time, and the sets accumulate products in different orders.  The pins are
+keyed by the set that ``OPENBLAS_VERBOSE=2`` names as numpy loads (the
+``blas_core`` fixture).  They were captured with numpy 2.4 on OpenBLAS 0.3.31
+(x86-64): SkylakeX, which run-time dispatch picks on an AVX-512 machine, and
+Haswell and Sandybridge, forced with ``OPENBLAS_CORETYPE=Haswell`` and
+``OPENBLAS_CORETYPE=SandyBridge`` (``OPENBLAS_CORETYPE=Zen`` also runs the
+Haswell set).  Under a kernel set with no table every pin test fails with
+one message that names the set.
 
-The two synthesis pins were captured again after one deliberate
-re-association: the control is evaluated as p^T (Phi B), one 2-D product
-with the shared B and n scaled adds, in place of the stacked (p @ Phi) @ B.
-It moves the samples by 1 ulp of max|u| on the oscillator case and 2.1 on
-the 3 x 2 case, and against a 30-digit mpmath evaluation of p^T exp(A tau) B
-on those systems and on oscillators in every regime it is no less accurate.
-
-The oscillator pins that run oscillator_expm at |omega_d t| >= 1
-(synthesize_oscillator and the (0.3, 2, 2) quadrature case) were captured
-again when its sine entry became sin(omega_d t) / omega_d there, in place of
-t sinc(omega_d t / pi), whose phase drifts from the cosine's.  Against a
-40-digit mpmath reference they moved by at most 1 ulp of their largest
-entry.
-
-The pins hold for one machine and BLAS kernel: they were captured with
-numpy 2.4 on OpenBLAS 0.3.31 (x86-64), whose runtime dispatch picked its
-SkylakeX kernels (``OPENBLAS_VERBOSE=2`` prints the kernel as numpy loads).
-Every pin passes there.  With ``OPENBLAS_CORETYPE=Haswell`` five fail
-(synthesize_3x2, kernel_stack_120 and the three Lyapunov cases), because
-other kernels accumulate products in another order.
+Captured again, each under an accuracy check:
+- the five simulation pins, when each step became the exact response to the
+  linearly interpolated input (within 1e-14 of max|x| of a 30-digit
+  evaluation of that response);
+- the two synthesis pins, when the control became p^T (Phi B), one 2-D
+  product with the shared B (no less accurate against a 30-digit
+  p^T exp(A tau) B);
+- synthesize_oscillator, when oscillator_expm formed its sine entry as
+  sin(omega_d t) / omega_d at every t (no worst node error rose by more than
+  4.2e-17 of max|u| against a 40-digit p^T exp(A tau) B with the same p);
+- the quadrature pins, when adaptive Simpson took its 64 forced panels in
+  grid order (within 4 ulps of max|W| of the values before).
 """
 
 import hashlib
@@ -103,41 +100,75 @@ CASES = {
     "quadrature_4x3": lambda: finite_horizon_gramian(hurwitz(4, 4, 3), 2.0, "quadrature").matrix,
 }
 
+# Pins per OpenBLAS kernel set, as ``Core: <name>`` names it (see the
+# ``blas_core`` fixture); OPENBLAS_CORETYPE=Zen runs the Haswell kernels.
 PINS = {
-    "simulate_oscillator_2000": "19eff5bf07e2f943ae9166d3",
-    "simulate_oscillator_129": "e34a335581d76d6cea4f8f02",
-    "simulate_3x2_2000": "bd2e6a82c9b9cca65e881f45",
-    "simulate_3x2_129": "34627185cb849477d825a463",
-    "simulate_3x2_1": "3fbcd0921163ad9b41e6b843",
-    "synthesize_oscillator": "8fffb07aacc05b504a0450d1",
-    "synthesize_3x2": "7cf42506089e2dcca10fe4e1",
-    "kernel_stack_120": "073c59a780a19390f38c7ef7",
-    "lyapunov_4": "c002ac15648bad1fdc16ae7f",
-    "lyapunov_12": "9836699954eee061e24bb428",
-    "lyapunov_30": "fa3f9addb7a4f443ee07170a",
-    "quadrature_4x3": "76482a7e13d344485b105dc1",
+    "SkylakeX": {
+        "simulate_oscillator_2000": "19eff5bf07e2f943ae9166d3",
+        "simulate_oscillator_129": "e34a335581d76d6cea4f8f02",
+        "simulate_3x2_2000": "bd2e6a82c9b9cca65e881f45",
+        "simulate_3x2_129": "34627185cb849477d825a463",
+        "simulate_3x2_1": "3fbcd0921163ad9b41e6b843",
+        "synthesize_oscillator": "92424ae31600d6b749766f24",
+        "synthesize_3x2": "7cf42506089e2dcca10fe4e1",
+        "kernel_stack_120": "073c59a780a19390f38c7ef7",
+        "lyapunov_4": "c002ac15648bad1fdc16ae7f",
+        "lyapunov_12": "9836699954eee061e24bb428",
+        "lyapunov_30": "fa3f9addb7a4f443ee07170a",
+        "quadrature_4x3": "bbf1d8c997db3032ceba5405",
+    },
+    "Haswell": {
+        "simulate_oscillator_2000": "3e570b352fb19aad95848cd3",
+        "simulate_oscillator_129": "ca9049fa4576f3e9bac8c940",
+        "simulate_3x2_2000": "992a85377ed57efdec840585",
+        "simulate_3x2_129": "37125699273e89cee0018d42",
+        "simulate_3x2_1": "3fbcd0921163ad9b41e6b843",
+        "synthesize_oscillator": "92424ae31600d6b749766f24",
+        "synthesize_3x2": "5ec805aabf8f8226679eeb02",
+        "kernel_stack_120": "2e8c1d1378c4d469f15997a5",
+        "lyapunov_4": "6bc6348e73c746de5eeda85e",
+        "lyapunov_12": "ebeac072241816c2d806353a",
+        "lyapunov_30": "69c3d3b2881ff16401a75190",
+        "quadrature_4x3": "33e40bfbba00b7dbdbaf76f1",
+    },
+    "Sandybridge": {
+        "simulate_oscillator_2000": "459c8e9a7601c45ab62f5045",
+        "simulate_oscillator_129": "74b19a9fb45cdfaea652301b",
+        "simulate_3x2_2000": "bc86ed4df8c952e383ea0ba9",
+        "simulate_3x2_129": "7d76b1ebc62e8453ce574a29",
+        "simulate_3x2_1": "cde4a1ea9cbad4568680a751",
+        "synthesize_oscillator": "3e29f128b1df32903c46f72d",
+        "synthesize_3x2": "68388dc9770d571a7ff2b65f",
+        "kernel_stack_120": "ad1b45b0cb5ad06682149885",
+        "lyapunov_4": "ff590a15b21f74be429123a8",
+        "lyapunov_12": "b7d8fff6f60e4108bd1738f2",
+        "lyapunov_30": "47e9e44ef3397f4be48e8a14",
+        "quadrature_4x3": "deda5b3eaf2d83db3e50d6d2",
+    },
 }
 
 # The two quadrature cases of the general_lti benchmark, (zeta, omega_n, T).
-QUADRATURE_PINS = {
+# These read the same on all three kernel sets.
+QUADRATURE_BITS = {
     (0.3, 2.0, 2.0): [
-        ["0x1.751ab1677ee5bp-4", "0x1.3e3cca9a3bf58p-8"],
-        ["0x1.3e3cca9a3bf58p-8", "0x1.8cd976127c481p-2"],
+        ["0x1.751ab1677ee5ap-4", "0x1.3e3cca9a3bf38p-8"],
+        ["0x1.3e3cca9a3bf38p-8", "0x1.8cd976127c480p-2"],
     ],
     (0.0, 1.0, 1.0): [
-        ["0x1.173848a9725dep-2", "0x1.6a88995d4dc7bp-2"],
-        ["0x1.6a88995d4dc7bp-2", "0x1.7463dbab46d0fp-1"],
+        ["0x1.173848a9725dep-2", "0x1.6a88995d4dc7ep-2"],
+        ["0x1.6a88995d4dc7ep-2", "0x1.7463dbab46d0fp-1"],
     ],
 }
+QUADRATURE_PINS = dict.fromkeys(PINS, QUADRATURE_BITS)
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_bytes_are_pinned(case):
-    assert digest(CASES[case]()) == PINS[case]
+def test_bytes_are_pinned(case, pins):
+    assert digest(CASES[case]()) == pins(PINS)[case]
 
 
-@pytest.mark.parametrize("case", list(QUADRATURE_PINS), ids=str)
-def test_quadrature_bits_are_pinned(case):
+@pytest.mark.parametrize("case", list(QUADRATURE_BITS), ids=str)
+def test_quadrature_bits_are_pinned(case, pins):
     zeta, omega_n, T = case
     W = finite_horizon_gramian(make_oscillator(OscillatorParams(zeta, omega_n)), T, "quadrature").matrix
-    assert [[float.hex(v) for v in row] for row in W.tolist()] == QUADRATURE_PINS[case]
+    assert [[float.hex(v) for v in row] for row in W.tolist()] == pins(QUADRATURE_PINS)[case]

@@ -327,6 +327,30 @@ class TestMatrixExponential:
         gap = np.abs(a * d - b * c - np.exp(-2.0 * zeta * omega_n * t))
         assert np.all(gap <= 8.0 * 2.0**-53 * (np.abs(a * d) + np.abs(b * c)))
 
+    def test_sine_entry_below_one_radian(self):
+        # e^{-zeta omega_n t} sin(omega_d t) / omega_d at |omega_d t| < 1
+        # against 40-digit mpmath, with zeta at 0, across (0, 1) and within
+        # 1e-9 of 1, and the decay zeta omega_n t at most 1.  The phase, the
+        # sine and the division cost about 2.6 units of 2**-53 at worst and
+        # the envelope about 1 more: the worst of 16,000 such draws read 3.7.
+        rng = np.random.default_rng(18)
+        near_one = 1.0 - 10.0 ** rng.uniform(-16, -9, 200)
+        zetas = np.concatenate([np.zeros(100), rng.uniform(0.0, 1.0, 200), near_one])
+        worst = 0.0
+        with mpmath.workdps(40):
+            for zeta in zetas.tolist():
+                omega_n = 10.0 ** rng.uniform(-3, 3)
+                root = math.sqrt((1.0 - zeta) * (1.0 + zeta))
+                # omega_d t up to 1, and up to root / zeta so the decay stays at most 1.
+                phase = 10.0 ** rng.uniform(-8, 0) * (1.0 if zeta == 0.0 else min(1.0, root / zeta))
+                t = phase / (omega_n * root)
+                z, w, tau = mpmath.mpf(zeta), mpmath.mpf(omega_n), mpmath.mpf(t)
+                wd = w * mpmath.sqrt((1 - z) * (1 + z))
+                exact = mpmath.exp(-z * w * tau) * mpmath.sin(wd * tau) / wd
+                got = mpmath.mpf(float(oscillator_expm(zeta, omega_n, t)[0, 1]))
+                worst = max(worst, abs(float((got - exact) / exact)))
+        assert worst <= 5.0 * 2.0**-53
+
     def test_squaring_count_recorded(self):
         result = expm_scaling_squaring(np.array([[0.0, 1.0], [-16.0, -4.0]]))
         assert result.squarings >= 1
@@ -422,9 +446,13 @@ class TestSimulate:
     def test_scan_against_exact_recurrence(self):
         # Oscillators across regimes up to T = 200, two multi-input models
         # and one 20,000-step run, with white-noise input (the hardest case
-        # for cancellation).  Each run stays within 1e-14 max|x| of the exact
-        # response (worst 9.1e-15, at zeta = 0, T = 200, where rounding the
-        # step map alone can cost about omega_n T u); over the grid the
+        # for cancellation).  Each run stays within max(1e-14, 2 rho(A) T u)
+        # of max|x| of the exact response, rho(A) the spectral radius
+        # (omega_n on the oscillators) and u = 2^-53: rounding the step map
+        # alone costs about rho(A) T u of phase over the horizon, and the
+        # factor 2 leaves room for the scan's own rounding.  The worst run,
+        # zeta = 0 at T = 200, reads 9.1e-15 under the SkylakeX kernels and
+        # 1.49e-14 under Sandybridge, against 4.4e-14.  Over the grid the
         # scan's worst error is no worse than the per-step loop's (1.3e-13).
         # Per run the loop can win at the 1e-15 level (lightly damped, long
         # horizons), so that comparison is not made run by run.
@@ -443,7 +471,8 @@ class TestSimulate:
             scale = np.abs(exact).max()
             scan_error = np.abs(simulate(model, u, x0, T, steps).states - exact).max() / scale
             loop_error = np.abs(stepped_recurrence(model, u, x0, T, steps) - exact).max() / scale
-            assert scan_error <= 1e-14, (model.A.tolist(), T, steps, scan_error)
+            bound = max(1e-14, 2.0 * np.abs(np.linalg.eigvals(model.A)).max() * T * 2.0**-53)
+            assert scan_error <= bound, (model.A.tolist(), T, steps, scan_error, bound)
             worst_scan, worst_loop = max(worst_scan, scan_error), max(worst_loop, loop_error)
         assert worst_scan <= worst_loop
 
