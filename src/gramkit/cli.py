@@ -63,17 +63,10 @@ CSV_COLUMNS = [
     "entropy_index",
 ]
 
-# One CSV row: every cell at full round-trip precision, locale-independent
-# (%.17g formats as _fmt does); horizon_seconds comes formatted by _fmt,
-# since it is empty for an infinite horizon.
+# One CSV row: every number at full round-trip precision, locale-independent.
+# horizon_seconds comes as text, already formatted by "%.17g", since it is
+# empty for an infinite horizon.
 CSV_ROW = ",".join(["%.17g", "%.17g", "%s", "%s", "%s"] + ["%.17g"] * 12)
-
-
-def _fmt(value: float | None) -> str:
-    """Full round-trip precision, locale-independent."""
-    if value is None:
-        return ""
-    return format(float(value), ".17g")
 
 
 def _parse_numbers(text: str, name: str) -> list[float]:
@@ -200,8 +193,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gram = oscillator_gramian_closed_form(params)
     else:
         gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
-    lead = (params.zeta, params.omega_n, params.regime.value, gram.horizon.kind,
-            _fmt(gram.horizon.seconds))
+    seconds = "" if horizon_seconds is None else "%.17g" % horizon_seconds
+    lead = (params.zeta, params.omega_n, params.regime.value, gram.horizon.kind, seconds)
     row = next(_report_rows([lead], gram.matrix[None], args.duality_c, args.kb))
     if args.format == "csv":
         text = ",".join(CSV_COLUMNS) + "\n" + CSV_ROW % row
@@ -258,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         W = np.zeros((len(points), 2, 2))
         W[:, [0, 1], [0, 1]] = [diagonal for diagonal, _ in closed]
     else:
-        seconds = [_fmt(T) for T in horizons]
+        seconds = ["%.17g" % T for T in horizons]
         leads = [point + ("finite", text) for point in points for text in seconds]
         # Row i is point i // len(horizons): A = [[0, 1], [a10, a11]], B = [[0], [1]].
         A = np.zeros((len(leads), 2, 2))
@@ -286,9 +279,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     profile = synthesize_min_energy_control(model, args.T, np.array(target), args.steps)
     report = verify_control(model, profile)
 
-    rows = ["t,u"]
-    for t, u in zip(profile.times, profile.values):
-        rows.append(",".join([_fmt(t)] + [_fmt(v) for v in u]))
+    # One input column: the CLI's oscillator has m = 1.
+    cells = zip(profile.times.tolist(), profile.values[:, 0].tolist())
+    rows = ["t,u"] + ["%.17g,%.17g" % cell for cell in cells]
     _emit("\n".join(rows), args.out)
 
     record = {

@@ -233,10 +233,8 @@ def _finite_horizon_gramians(
     return scaled[:i], ArithmeticError(f"the Gramian over [0, {float(T[i])}] leaves the double range")
 
 
-def _adaptive_simpson_gramian(
-    A: np.ndarray, B: np.ndarray, T: float, tol: float, panel_cap: int
-) -> np.ndarray:
-    """Adaptive Simpson on the Gramian integrand, entrywise tolerance.
+def _adaptive_simpson_gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarray:
+    """Adaptive Simpson on the Gramian integrand, entrywise ``QUADRATURE_TOL``.
 
     Level-synchronous: a panel (a, m, b) with Simpson estimate ``whole`` is
     bisected at lm and rm, and it finishes when its two halves differ from
@@ -245,8 +243,9 @@ def _adaptive_simpson_gramian(
     all.  No panel may finish before the seventh bisection, a forced depth
     that guards against spuriously small error estimates on the oscillatory
     integrand.  The six forced levels therefore leave 64 panels of [0, T]
-    (126 panels counted against ``panel_cap``), and those panels with their
-    lm and rm form one grid of 257 nodes, evaluated in one integrand call.
+    (126 panels counted against ``QUADRATURE_PANEL_CAP``), and those panels
+    with their lm and rm form one grid of 257 nodes, evaluated in one
+    integrand call.
     Those 64 panels start in grid order; each further level keeps the left
     halves of its open panels before the right halves, and the finished
     panels of a level are summed in that order.
@@ -257,14 +256,9 @@ def _adaptive_simpson_gramian(
         col = (matrix_exponential(A, t).reshape(-1, len(B)) @ B).reshape(t.shape + B.shape)
         return col @ col.swapaxes(-1, -2)
 
-    # Midpoints are 0.5 (a + b).  Above T = 1 they are formed as
-    # 0.5 a + 0.5 b: halving those nodes is exact, so the bits are the same,
-    # and no sum next to a T near the largest double overflows.  Below it the
-    # halves of subnormal nodes would round, so the sum comes first there.
-    g, h = (0.5, 1.0) if T > 1.0 else (1.0, 0.5)
-
     def midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return h * (g * a + g * b)
+        # Not 0.5 (a + b): the sum overflows next to a T near the largest double.
+        return 0.5 * a + 0.5 * b
 
     t = np.array([0.0, T])
     for _ in range(8):
@@ -277,7 +271,7 @@ def _adaptive_simpson_gramian(
     a, lm, m, rm, b = (t[i : i + 253 : 4] for i in range(5))
     fa, flm, fm, frm, fb = (ft[i : i + 253 : 4] for i in range(5))
     whole = ((b - a) / 6.0)[:, None, None] * (fa + 4.0 * fm + fb)
-    total, panels, tol = 0.0, 126, tol / 2 ** 6
+    total, panels, tol = 0.0, 126, QUADRATURE_TOL / 2 ** 6
     while True:
         left = ((m - a) / 6.0)[:, None, None] * (fa + 4.0 * flm + fm)
         right = ((b - m) / 6.0)[:, None, None] * (fm + 4.0 * frm + fb)
@@ -286,9 +280,9 @@ def _adaptive_simpson_gramian(
         total = total + np.sum((left + right + err / 15.0)[done], axis=0)
         keep = ~done
         panels += 2 * int(np.count_nonzero(keep))
-        if panels > panel_cap:
+        if panels > QUADRATURE_PANEL_CAP:
             raise QuadratureConvergenceError(
-                f"adaptive Simpson exceeded {panel_cap} panels on [0, {T}]"
+                f"adaptive Simpson exceeded {QUADRATURE_PANEL_CAP} panels on [0, {T}]"
             )
         if not keep.any():
             return total
@@ -336,7 +330,7 @@ def finite_horizon_gramian(
             raise failure
         W = W[0]
     else:
-        W = _adaptive_simpson_gramian(model.A, model.B, T, QUADRATURE_TOL, QUADRATURE_PANEL_CAP)
+        W = _adaptive_simpson_gramian(model.A, model.B, T)
     return GramianResult(matrix=W, horizon=Horizon.finite(T), method=method)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gramkit import cli
+from gramkit.energy import synthesize_min_energy_control
 from gramkit.lti import OscillatorParams, make_oscillator
 
 ANALYZE_KEYS = {
@@ -345,8 +346,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("finite", [True, False])
     def test_rows_match_analyze(self, finite):
-        # The sweep's stacked pass and analyze's k = 1 call are one path:
-        # every row is byte-identical to analyze --format csv at its point.
+        # The sweep and analyze share the Gramian kernel (a stacked call
+        # against analyze's k = 1 call) and the report pass, so every row is
+        # byte-identical to analyze --format csv at its point.
         args = ["--zeta-grid", "0,0.4,1,1.6", "--omega-n-grid", "0.5,3,20"]
         if finite:
             args += ["--T-grid", "1e-8,0.5,20,1000"]
@@ -422,6 +424,24 @@ class TestSynthesize:
         t0, u0 = lines[1].split(",")
         assert float(t0) == 0.0
         assert math.isfinite(float(u0))
+
+    @pytest.mark.parametrize("steps", [[], ["--steps", "301"]], ids=["default", "301"])
+    def test_profile_cells_parse_back_exactly(self, tmp_path, steps):
+        # Every t,u cell is the library's double at round-trip precision.
+        path = tmp_path / "profile.csv"
+        code, _, _ = run_in_process(
+            "synthesize", "--zeta", "0.3", "--omega-n", "2", "--T", "10", "--xf", "1,0",
+            *steps, "--out", str(path),
+        )
+        assert code == 0
+        profile = synthesize_min_energy_control(
+            make_oscillator(OscillatorParams(0.3, 2.0)), 10.0, np.array([1.0, 0.0]),
+            int(steps[1]) if steps else 2000,
+        )
+        header, *rows = path.read_text().splitlines()
+        assert header == "t,u"
+        cells = [[float(cell) for cell in row.split(",")] for row in rows]
+        assert cells == np.column_stack([profile.times, profile.values[:, 0]]).tolist()
 
     def test_zero_target(self, tmp_path):
         path = tmp_path / "profile.csv"

@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,36 @@ class TestLyapunov:
         assert g.residual == math.ldexp(np.linalg.norm(np.ldexp(R, -e)), e)
         # ||A|| ||W|| is about 8.3e448, so the relative residual is about 5e-167.
         assert math.log(g.residual) - math.log(1e150) - math.log(g.matrix[0, 0]) < math.log(1e-12)
+
+    def test_residual_norm_is_scaled_on_every_kernel(self):
+        # The input above overflows the sum of squares only where the BLAS
+        # kernel leaves large rounding noise in R.  Here the exact residual
+        # entries are far above 1.34e154: max|R| is 6.2e282 under the
+        # SkylakeX, Haswell and Zen kernels and 1.9e283 under Sandybridge.
+        A = np.array([[-1.0, 1e150, 0.0], [0.0, -3.0, 1.0], [0.0, 0.0, -5.0]])
+        model = StateSpaceModel(A=A, B=np.ones((3, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = infinite_horizon_gramian_lyapunov(model)
+        W = g.matrix
+        # The triangular system solved from the last row up, in exact
+        # rationals with c = 1e150 as the double holds it.
+        c = Fraction(1e150)
+        w33, w23, w22 = Fraction(1, 10), Fraction(11, 80), Fraction(17, 80)
+        w13 = (1 + w23 * c) / 6
+        w12 = (w22 * c + w13 + 1) / 4
+        exact = [[c * w12 + Fraction(1, 2), w12, w13], [w12, w22, w23], [w13, w23, w33]]
+        # Measured: 1.7e-16 (3.1e-16 under Sandybridge) at most.
+        for i, j in np.ndindex(3, 3):
+            assert abs(Fraction(W[i, j]) - exact[i][j]) <= Fraction(2e-15) * exact[i][j]
+        R = A @ W + W @ A.T + model.B @ model.B.T
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(R) == math.inf
+        e = math.frexp(np.abs(R).max())[1]
+        assert math.isfinite(g.residual)
+        assert g.residual == math.ldexp(np.linalg.norm(np.ldexp(R, -e)), e)
+        # ||A|| w11 is about 5.9e448, so the relative residual is about 1e-166.
+        assert math.log(g.residual) - math.log(1e150) - math.log(W[0, 0]) < math.log(1e-12)
 
     @pytest.mark.parametrize("s", [1e-10, 1e300])
     def test_time_scaling(self, s):
@@ -651,7 +682,8 @@ class TestLevelSynchronousSimpson:
             return kernel(A, t)
 
         monkeypatch.setattr(gramian_mod, "matrix_exponential", recording_kernel)
-        got = gramian_mod._adaptive_simpson_gramian(A, B, T, tol, 2 ** 20)
+        monkeypatch.setattr(gramian_mod, "QUADRATURE_TOL", tol)
+        got = gramian_mod._adaptive_simpson_gramian(A, B, T)
         assert sorted(nodes) == sorted(reference_nodes)
         # The two schemes sum the same panels in different orders, so the
         # value is compared on the scale of max|W| (about 9 ulps of it), not
@@ -773,3 +805,10 @@ class TestLevelSynchronousSimpson:
         monkeypatch.setattr(gramian_mod, "QUADRATURE_PANEL_CAP", 329)
         with pytest.raises(QuadratureConvergenceError, match="exceeded 329 panels"):
             finite_horizon_gramian(model, 2.0, "quadrature")
+
+    def test_subnormal_horizon(self):
+        # w22 = T + O(T^2) on [0, T].  At T = 1e-320 every node is subnormal
+        # and the quadrature holds w22 within 0.8%; forming each midpoint as
+        # 0.5 (a + b) gave 1.067e-320, 6.7% off.
+        W = finite_horizon_gramian(osc_model(0.3, 2.0), 1e-320, "quadrature").matrix
+        assert abs(W[1, 1] - 1e-320) <= 0.01 * 1e-320
