@@ -35,7 +35,7 @@ from .gramian import (
     oscillator_gramian_closed_form,
 )
 from .lti import OscillatorParams, StateSpaceModel, make_oscillator
-from .lti import _oscillator_entries, _require_positive
+from .lti import _oscillator_entries, _require_finite, _require_positive
 
 SCHEMA_VERSION = 1
 
@@ -76,8 +76,6 @@ def _parse_numbers(text: str, name: str) -> list[float]:
         raise ValueError(f"{name} must be a comma-separated list of numbers, got {text!r}")
     if not values:
         raise ValueError(f"{name} must be non-empty")
-    if any(not math.isfinite(v) for v in values):
-        raise ValueError(f"{name} must contain only finite values")
     return values
 
 
@@ -221,9 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     omegas = _grid_or_scalar(args.omega_n_grid, args.omega_n, "omega-n")
     horizons = None
     if args.T_grid is not None:
-        horizons = _parse_grid(args.T_grid, "T-grid")
-        if any(v <= 0.0 for v in horizons):
-            raise ValueError("T-grid values must be > 0")
+        horizons = [_require_positive("T", T) for T in _parse_grid(args.T_grid, "T-grid")]
 
     # Deterministic order: zeta outer, omega_n middle, T inner.  Points are
     # validated, and their oscillator entries and closed forms checked, in
@@ -275,6 +271,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     target = _parse_numbers(args.xf, "xf")
     if len(target) != 2 or args.xf.count(",") != 1:
         raise ValueError(f"xf must have two components, got {args.xf!r}")
+    _require_finite("x_f", target)
     model = make_oscillator(params)
     profile = synthesize_min_energy_control(model, args.T, np.array(target), args.steps)
     report = verify_control(model, profile)
@@ -400,7 +397,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: numerical range failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -462,8 +462,10 @@ def gramian_determinant(g: GramianResult) -> float:
     injects an avoidable ulp of noise, and the closed-form oscillator
     determinants are expected exactly.  There, ``OverflowError`` is raised
     when det(W) overflows, and ``ArithmeticError`` when the product of two
-    nonzero diagonal entries falls below the normal double range.  For
-    n > 2, ``OverflowError`` is raised when det(W) overflows, and
+    nonzero diagonal entries falls below the normal double range.  The 1x1
+    case returns the entry exactly, and raises ``ArithmeticError`` when it
+    is nonzero and below the normal double range.  For n > 2,
+    ``OverflowError`` is raised when det(W) overflows, and
     ``ArithmeticError`` when it is 0 or subnormal while ``slogdet`` finds
     W nonsingular.
     """
@@ -479,7 +481,10 @@ def gramian_determinant(g: GramianResult) -> float:
             raise ArithmeticError(f"Gramian determinant underflows (ln|det W| = {logdet})")
         return det
     if g.n == 1:
-        return float(g.matrix[0, 0])
+        det = float(g.matrix[0, 0])
+        if det and abs(det) < sys.float_info.min:
+            raise ArithmeticError(f"Gramian determinant underflows (entries {g.matrix.tolist()})")
+        return det
     return _cofactor_determinant(g.matrix.tolist())
 
 

@@ -196,9 +196,10 @@ class OscillatorParams:
 
     @property
     def omega_d(self) -> float | None:
-        """Damped frequency omega_n*sqrt(1 - zeta^2); None unless 0 <= zeta < 1."""
+        """Damped frequency omega_n*sqrt((1 - zeta)(1 + zeta)), the form that
+        does not cancel near zeta = 1; None unless 0 <= zeta < 1."""
         if self.zeta < 1.0:
-            return self.omega_n * math.sqrt(1.0 - self.zeta * self.zeta)
+            return self.omega_n * math.sqrt((1.0 - self.zeta) * (1.0 + self.zeta))
         return None
 
 

@@ -52,7 +52,7 @@ def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "gramkit.cli", *args],
+        [sys.executable, "-m", "gramkit", *args],
         capture_output=True,
         text=True,
         env=env,

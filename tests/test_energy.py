@@ -244,6 +244,11 @@ class TestVerification:
         assert report.measured_energy == 0.0
         assert report.final_state_error == 0.0
 
+    def test_one_interval_is_the_trapezoid(self):
+        # One interval integrates ||u||^2 as h (u0^2 + u1^2) / 2, exact here.
+        profile = ControlProfile([0.0, 0.25], [[3.0], [-1.0]], [1.0, 0.0], 1.0)
+        assert verify_control(osc_model(0.5, 1.0), profile).measured_energy == 1.25
+
     def test_amplified_profile_scales_energy_quadratically(self):
         model = osc_model(0.5, 1.0)
         profile = synthesize_min_energy_control(model, 5.0, np.array([1.0, 0.0]), 400)

@@ -23,6 +23,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False) | st.floats(min_value=
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.floats(
     min_value=0.01, max_value=100.0
 )
+# Grid values may also be infinite: each value is refused as analyze refuses it.
+extended = st.floats(allow_nan=False) | st.floats(min_value=0.01, max_value=100.0)
 contract = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
@@ -90,8 +92,8 @@ def grid(values):
 
 @contract
 @given(
-    zetas=st.lists(finite, min_size=1, max_size=3).map(grid),
-    omegas=st.lists(finite, min_size=1, max_size=3).map(grid),
+    zetas=st.lists(extended, min_size=1, max_size=3).map(grid),
+    omegas=st.lists(extended, min_size=1, max_size=3).map(grid),
     horizons=st.none() | st.lists(positive, min_size=1, max_size=3).map(grid),
     c=finite,
     kb=finite,
@@ -124,6 +126,27 @@ def test_sweep_ends_as_analyze_over_its_points(zetas, omegas, horizons, c, kb):
     assert sweep == (0, "\n".join(lines) + "\n", ""), argv
 
 
+@contract
+@given(T=st.floats() | positive)
+def test_sweep_ends_as_analyze_over_its_horizon(T):
+    # A valid point with a one-value T-grid, the value drawn from every
+    # double, nan and infinities included.
+    sweep = run(["sweep", "--zeta-grid=0.5", "--omega-n-grid=1", f"--T-grid={T!r}"])
+    analyze = run(["analyze", "--zeta=0.5", "--omega-n=1", "--format=csv",
+                   "--horizon=finite", f"--T={T!r}"])
+    assert sweep == analyze, T
+
+
+@pytest.mark.parametrize("omega_n", ["1", "1e200"])
+@pytest.mark.parametrize("xf, value", [("inf,0", "inf"), ("0,-inf", "-inf"), ("nan,1", "nan")])
+def test_non_finite_target_is_refused_by_the_library(tmp_path, omega_n, xf, value):
+    # The target is refused ahead of a model whose omega_n^2 overflows.
+    out = tmp_path / "profile.csv"
+    argv = ["synthesize", "--zeta=0.5", f"--omega-n={omega_n}", "--T=1", f"--xf={xf}", f"--out={out}"]
+    assert run(argv) == (2, "", f"error: x_f must be finite, got {value}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("T_grid", [None, "1,2"])
 @pytest.mark.parametrize(
     "grids, point, message",
@@ -137,6 +160,11 @@ def test_sweep_ends_as_analyze_over_its_points(zetas, omegas, horizons, c, kb):
         # zeta is refused at point 1
         (["--zeta-grid=-1,0.5", "--omega-n=1"], ["--zeta=-1", "--omega-n=1"],
          "zeta must be >= 0, got -1.0"),
+        # grid values are refused by the library's validators, as analyze refuses them
+        (["--zeta-grid=nan", "--omega-n=1"], ["--zeta=nan", "--omega-n=1"],
+         "zeta must be finite, got nan"),
+        (["--zeta=0.5", "--omega-n-grid=nan"], ["--zeta=0.5", "--omega-n=nan"],
+         "omega_n must be finite, got nan"),
     ],
 )
 def test_sweep_fails_as_analyze_at_its_failing_point(grids, point, message, T_grid):

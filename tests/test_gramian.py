@@ -437,6 +437,17 @@ class TestDeterminant:
         g = GramianResult(matrix=np.eye(2), horizon=Horizon.infinite(), method="lyapunov")
         assert gramian_determinant(g) == 1.0
 
+    @pytest.mark.parametrize("entry", [1e-300, 3.0])
+    def test_one_by_one_entry_is_exact(self, entry):
+        # LU gives 1.0000000000000237e-300 and 3.0000000000000004 for these entries.
+        g = GramianResult(matrix=np.array([[entry]]), horizon=Horizon.infinite(), method="lyapunov")
+        assert gramian_determinant(g) == entry
+
+    def test_one_by_one_subnormal_entry_is_refused(self):
+        g = GramianResult(matrix=np.array([[5e-320]]), horizon=Horizon.infinite(), method="lyapunov")
+        with pytest.raises(ArithmeticError, match="underflows"):
+            gramian_determinant(g)
+
     def test_matches_analytic_law(self):
         for zeta in ZETA_GRID:
             for omega_n in OMEGA_GRID:

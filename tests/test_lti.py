@@ -129,6 +129,16 @@ class TestOscillatorParams:
         assert OscillatorParams(1.0, 2.0).omega_d is None
         assert OscillatorParams(3.0, 2.0).omega_d is None
 
+    @pytest.mark.parametrize("zeta", [1 - 1e-9, 1 - 1e-12, 1 - 2.0**-40, 0.999999, 0.6, 0.0])
+    def test_omega_d_near_critical_damping(self, zeta):
+        # omega_n sqrt(1 - zeta^2) cancels near zeta = 1 (1.65e6 ulps off at
+        # 1 - 1e-9); the damped frequency is within 1 ulp of 40-digit mpmath.
+        omega_d = OscillatorParams(zeta, 2.0).omega_d
+        with mpmath.workdps(40):
+            exact = 2 * mpmath.sqrt(1 - mpmath.mpf(zeta) ** 2)
+            error = abs(mpmath.mpf(omega_d) - exact)
+        assert error <= math.ulp(float(exact))
+
     def test_arrays_are_immutable(self):
         model = osc_model(0.5, 1.0)
         with pytest.raises(ValueError):
