@@ -217,14 +217,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs at least one of --zeta-grid, --omega-n-grid, --T-grid")
     zetas = _grid_or_scalar(args.zeta_grid, args.zeta, "zeta")
     omegas = _grid_or_scalar(args.omega_n_grid, args.omega_n, "omega-n")
-    horizons = None
+    horizons, refused = None, None
     if args.T_grid is not None:
-        horizons = [_require_positive("T", T) for T in _parse_grid(args.T_grid, "T-grid")]
+        horizons = _parse_grid(args.T_grid, "T-grid")
+        try:
+            for j, T in enumerate(horizons):
+                _require_positive("T", T)
+        except ValueError as exc:
+            horizons, refused = horizons[:j], exc
 
     # Deterministic order: zeta outer, omega_n middle, T inner.  Points are
     # validated, and their oscillator entries and closed forms checked, in
-    # table order up to the first one that fails.  The finite rows of the
-    # points before it share one stacked kernel call and every row one report
+    # table order up to the first one that fails.  The first point meets a
+    # refused T as analyze does: the first T after its zeta and omega_n, a
+    # later one after the rows before it.  The finite rows of the points
+    # before a failure share one stacked kernel call and every row one report
     # pass, which raises at the first row that fails; only then is the point
     # or kernel failure raised, so the first failure in table order wins.
     points, entries, closed, failure = [], [], [], None
@@ -232,12 +239,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for zeta in zetas:
             for omega_n in omegas:
                 params = OscillatorParams(zeta=zeta, omega_n=omega_n)
+                if refused is not None and not horizons:
+                    raise refused
                 entry = _oscillator_entries(params.zeta, params.omega_n)
                 if horizons is None:
                     closed.append(_closed_form(params))
                 else:
                     entries.append(entry)
                 points.append((params.zeta, params.omega_n, params.regime.value))
+                if refused is not None:
+                    raise refused
     except (ValueError, ArithmeticError) as exc:
         failure = exc
     if not points:

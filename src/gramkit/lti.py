@@ -14,6 +14,7 @@ between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -113,82 +114,50 @@ def classify_regime(zeta: float) -> DampingRegime:
     return DampingRegime.OVERDAMPED
 
 
-def _physical_derivation(
-    mass: float, damping: float, stiffness: float
-) -> tuple[float, float, float, float, float]:
-    """Validated (m, c, k) with zeta = c / (2*sqrt(m*k)) and omega_n = sqrt(k/m).
-
-    The powers of two of m, c and k go through the square roots separately,
-    so m*k and k/m are never formed and no intermediate under- or overflows;
-    while zeta and omega_n are normal this is bit for bit the formulas as
-    written.  Raises ``OverflowError`` when zeta or omega_n itself
-    overflows, or zeta underflows to 0 with c > 0.
-    """
-    m = _require_positive("mass", mass)
-    c = _require_nonnegative("damping", damping)
-    k = _require_positive("stiffness", stiffness)
-    # x = fx * 2**ex with 1/2 <= fx < 1; m*k = (fm*fk * 2**r) * 4**p and
-    # k/m = (fk/fm * 2**s) * 4**q with r, s in {0, 1}.
-    (fm, em), (fc, ec), (fk, ek) = math.frexp(m), math.frexp(c), math.frexp(k)
-    p, r = divmod(em + ek, 2)
-    q, s = divmod(ek - em, 2)
-    try:
-        omega_n = math.ldexp(math.sqrt(math.ldexp(fk / fm, s)), q)
-        zeta = math.ldexp(fc / (2.0 * math.sqrt(math.ldexp(fm * fk, r))), ec - p)
-    except OverflowError:
-        zeta = omega_n = math.inf
-    if math.inf in (zeta, omega_n) or (zeta == 0.0 and c > 0.0):
-        raise OverflowError(f"zeta or omega_n leaves the double range at m={m}, c={c}, k={k}")
-    return m, c, k, zeta, omega_n
-
-
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Normalized oscillator parameters, optionally tied to a physical triple.
+    """Normalized oscillator parameters.
 
-    zeta      : dimensionless damping factor, >= 0.
-    omega_n   : undamped natural frequency in rad/s, > 0.
-    mass, damping, stiffness : optional physical (m, c, k) source; when
-        present, zeta = c / (2*sqrt(m*k)) and omega_n = sqrt(k/m) must match
-        the stored values to relative 1e-12.
+    zeta    : dimensionless damping factor, >= 0.
+    omega_n : undamped natural frequency in rad/s, > 0.
+
+    ``from_physical`` builds them from a physical triple (m, c, k).
     """
 
     zeta: float
     omega_n: float
-    mass: float | None = None
-    damping: float | None = None
-    stiffness: float | None = None
 
     def __post_init__(self) -> None:
-        zeta = _require_nonnegative("zeta", self.zeta)
-        omega_n = _require_positive("omega_n", self.omega_n)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "omega_n", omega_n)
-
-        physical = (self.mass, self.damping, self.stiffness)
-        if any(v is not None for v in physical):
-            if any(v is None for v in physical):
-                raise ValueError("mass, damping, and stiffness must be given together")
-            m, c, k, zeta_drv, omega_drv = _physical_derivation(
-                self.mass, self.damping, self.stiffness
-            )
-            if not math.isclose(zeta_drv, zeta, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValueError(
-                    f"zeta {zeta} inconsistent with physical triple (derived {zeta_drv})"
-                )
-            if not math.isclose(omega_drv, omega_n, rel_tol=1e-12):
-                raise ValueError(
-                    f"omega_n {omega_n} inconsistent with physical triple (derived {omega_drv})"
-                )
-            object.__setattr__(self, "mass", m)
-            object.__setattr__(self, "damping", c)
-            object.__setattr__(self, "stiffness", k)
+        object.__setattr__(self, "zeta", _require_nonnegative("zeta", self.zeta))
+        object.__setattr__(self, "omega_n", _require_positive("omega_n", self.omega_n))
 
     @classmethod
     def from_physical(cls, mass: float, damping: float, stiffness: float) -> "OscillatorParams":
-        """Build from the physical triple (m, c, k)."""
-        m, c, k, zeta, omega_n = _physical_derivation(mass, damping, stiffness)
-        return cls(zeta=zeta, omega_n=omega_n, mass=m, damping=c, stiffness=k)
+        """Build from the physical triple (m, c, k): zeta = c / (2*sqrt(m*k))
+        and omega_n = sqrt(k/m).
+
+        The powers of two of m, c and k go through the square roots separately,
+        so m*k and k/m are never formed and no intermediate under- or overflows;
+        while zeta and omega_n are normal this is bit for bit the formulas as
+        written.  Raises ``OverflowError`` when zeta or omega_n itself
+        overflows, or zeta underflows to 0 with c > 0.
+        """
+        m = _require_positive("mass", mass)
+        c = _require_nonnegative("damping", damping)
+        k = _require_positive("stiffness", stiffness)
+        # x = fx * 2**ex with 1/2 <= fx < 1; m*k = (fm*fk * 2**r) * 4**p and
+        # k/m = (fk/fm * 2**s) * 4**q with r, s in {0, 1}.
+        (fm, em), (fc, ec), (fk, ek) = math.frexp(m), math.frexp(c), math.frexp(k)
+        p, r = divmod(em + ek, 2)
+        q, s = divmod(ek - em, 2)
+        try:
+            omega_n = math.ldexp(math.sqrt(math.ldexp(fk / fm, s)), q)
+            zeta = math.ldexp(fc / (2.0 * math.sqrt(math.ldexp(fm * fk, r))), ec - p)
+        except OverflowError:
+            zeta = omega_n = math.inf
+        if math.inf in (zeta, omega_n) or (zeta == 0.0 and c > 0.0):
+            raise OverflowError(f"zeta or omega_n leaves the double range at m={m}, c={c}, k={k}")
+        return cls(zeta=zeta, omega_n=omega_n)
 
     @property
     def regime(self) -> DampingRegime:
@@ -367,14 +336,18 @@ def _damped_cos_sin(zeta: float, omega_n: float, t: np.ndarray) -> tuple[np.ndar
     C(0)=1, S(0)=0, S'(0)=1; the regime exponential is then
     exp(A t) = Cd*I + Sd*(A + zeta*omega_n*I).  For zeta <= 1 they are
     C = cos(omega_d t) and S = sin(omega_d t) / omega_d, in phase at every t,
-    with the critical S = t where omega_d = 0 (zeta == 1).
+    with S = t where the phase omega_d t is subnormal (sin(omega_d t) / omega_d
+    would keep only its few bits there), omega_d = 0 (zeta == 1) included.
     """
     decay = zeta * omega_n * t
     if zeta <= 1.0:
         wd = omega_n * math.sqrt((1.0 - zeta) * (1.0 + zeta))
         env = np.exp(-decay)
         phase = wd * t
-        s_d = env * np.sin(phase) / wd if wd > 0.0 else env * t
+        # At omega_d = 0 every phase is subnormal, and the unused quotient
+        # is taken over 1 so that it stays finite.
+        tiny = np.abs(phase) < sys.float_info.min
+        s_d = np.where(tiny, env * t, env * np.sin(phase) / (wd if wd > 0.0 else 1.0))
         return env * np.cos(phase), s_d
     # Overdamped: combine the decay with cosh/sinh so no intermediate
     # overflows; the small-mu*t cancellation goes through expm1 at a

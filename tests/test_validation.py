@@ -34,8 +34,6 @@ GRAM = oscillator_gramian_closed_form(OscillatorParams(0.5, 1.0))
 ENTRY_POINTS = [
     pytest.param("mass", lambda v: OscillatorParams.from_physical(v, 1.0, 1.0), 0.0,
                  id="mass-from_physical"),
-    pytest.param("mass", lambda v: OscillatorParams(0.5, 1.0, mass=v, damping=1.0, stiffness=1.0),
-                 -1.0, id="mass-OscillatorParams"),
     pytest.param("damping", lambda v: OscillatorParams.from_physical(1.0, v, 1.0), -1.0,
                  id="damping-from_physical"),
     pytest.param("stiffness", lambda v: OscillatorParams.from_physical(1.0, 1.0, v), 0.0,
