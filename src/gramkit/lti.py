@@ -205,25 +205,6 @@ class StateSpaceModel:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States and inputs sampled on a uniform time grid."""
-
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = _require_uniform_grid(self.times)
-        states = np.asarray(self.states, dtype=float)
-        inputs = np.asarray(self.inputs, dtype=float)
-        if len(states) != len(times) or len(inputs) != len(times):
-            raise ValueError("times, states, and inputs must have equal length")
-        object.__setattr__(self, "times", _readonly(times))
-        object.__setattr__(self, "states", _readonly(states))
-        object.__setattr__(self, "inputs", _readonly(inputs))
-
-
 def make_oscillator(params: OscillatorParams) -> StateSpaceModel:
     """State-space form of the normalized oscillator.
 
@@ -438,15 +419,14 @@ def simulate(
     u: np.ndarray,
     x0: np.ndarray,
     T: float,
-    steps: int,
-) -> Trajectory:
+) -> np.ndarray:
     """Propagate ``xdot = A x + B u`` exactly for the input linear between samples.
 
     The input is the piecewise-linear interpolant of its samples, and each
     step is that input's exact response, the affine map
     ``x_i+1 = R x_i + d_i`` with R = e^{A h} (see ``_foh_step``): there is
-    no order of accuracy in h and no stability limit on it.  The trajectory
-    is computed as a prefix scan in ceil(log2(steps)) levels of matrix
+    no order of accuracy in h and no stability limit on it.  The states are
+    computed as a prefix scan in ceil(log2(steps)) levels of matrix
     products.  Each product over the grid takes a contiguous copy of the
     transposed step block: numpy multiplies rows by a transposed view
     through a path about three times slower (2,000 rows by a 2 x 2 factor),
@@ -456,38 +436,34 @@ def simulate(
     ----------
     model : StateSpaceModel
     u : ndarray, shape (steps + 1,) or (steps + 1, m)
-        Input samples on the uniform grid, joined linearly.
+        Input samples on the uniform grid of steps >= 1 intervals, joined
+        linearly; the step count is taken from its length.
     x0 : ndarray, shape (n,)
         Initial state.
     T : float
         Horizon, > 0.
-    steps : int
-        Number of grid intervals, >= 1.
 
     Returns
     -------
-    Trajectory
-        times (steps+1,), states (steps+1, n), inputs (steps+1, m).
+    ndarray, shape (steps + 1, n)
+        The states on the grid, x0 first.
     """
     T = _require_positive("T", T)
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     n, m = model.n, model.m
     x0 = _require_state("x0", x0, n)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
-    if u.shape != (steps + 1, m):
-        raise ValueError(f"u must have shape ({steps + 1}, {m}), got {u.shape}")
+    if u.ndim != 2 or len(u) < 2 or u.shape[1] != m:
+        raise ValueError(f"u must have shape (steps + 1, m) with steps >= 1, got {u.shape}")
     u = _require_finite("u", u)
+    steps = len(u) - 1
 
     E, S0, S1 = _foh_step(model, T / steps)
     # Hillis-Steele / Kogge-Stone scan over the affine maps: after the level
     # of stride s, row i of states[1:] holds the sum of R^j c_i-j over j < 2s,
     # where c_0 = R x0 + d_0 and c_i = d_i.  E holds R^s - I (R^2s - I =
     # 2 E + E^2), which keeps the low bits that rounding R itself drops.
-    times = np.linspace(0.0, T, steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x0
     states[1:] = u[:-1] @ S0.T.copy() + u[1:] @ S1.T.copy()
@@ -499,7 +475,7 @@ def simulate(
         s *= 2
         if s < steps:  # one squaring past the last level could overflow
             E = 2.0 * E + E @ E
-    return Trajectory(times=times, states=states, inputs=u)
+    return states
 
 
 def controllability_rank(model: StateSpaceModel) -> int:

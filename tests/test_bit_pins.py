@@ -60,7 +60,7 @@ def hurwitz(seed: int, n: int, m: int) -> StateSpaceModel:
 def simulated(model: StateSpaceModel, steps: int) -> np.ndarray:
     rng = np.random.default_rng([steps, model.n, model.m])
     u = rng.standard_normal((steps + 1, model.m))
-    return simulate(model, u, rng.standard_normal(model.n), 3.0, steps).states
+    return simulate(model, u, rng.standard_normal(model.n), 3.0)
 
 
 def synthesized(model: StateSpaceModel, T: float) -> np.ndarray:

@@ -330,6 +330,13 @@ class TestSweep:
         result = run_cli("sweep", "--zeta-grid", "1,0.5", "--omega-n-grid", "1")
         assert result.returncode == 2
         assert "increasing" in result.stderr
+        # A nan between two values does not hide their decrease.
+        for name, args in (("zeta-grid", ["--zeta-grid", "2,nan,1", "--omega-n", "1"]),
+                           ("T-grid", ["--zeta", "0.5", "--omega-n", "1", "--T-grid", "1,nan,0.5"])):
+            assert run_in_process("sweep", *args) == (2, "", f"error: {name} must be strictly increasing\n")
+        # nan itself is left to the point's validator.
+        assert run_in_process("sweep", "--zeta-grid", "0.5,nan", "--omega-n", "1") == (
+            2, "", "error: zeta must be finite, got nan\n")
 
     def test_full_roundtrip_precision(self):
         # Every CSV cell must reparse to the exact double the library
@@ -384,6 +391,28 @@ class TestSweep:
         code, out, err = run_in_process("sweep", "--zeta-grid", "0.5", *grids, "--duality-c", "-1")
         assert (code, out) == (2, "")
         assert err == "error: c must be > 0, got -1.0\n"
+
+
+@pytest.mark.parametrize(
+    "args, name, text",
+    [
+        (["sweep", "--zeta-grid", "0.5,,1", "--omega-n", "1"], "zeta-grid", "0.5,,1"),
+        (["sweep", "--zeta-grid", "0.5,1,", "--omega-n", "1"], "zeta-grid", "0.5,1,"),
+        (["sweep", "--zeta-grid", ",0.5", "--omega-n", "1"], "zeta-grid", ",0.5"),
+        (["sweep", "--zeta-grid", "", "--omega-n", "1"], "zeta-grid", ""),
+        (["sweep", "--zeta", "0.5", "--omega-n-grid", "1, ,2"], "omega-n-grid", "1, ,2"),
+        (["sweep", "--zeta", "0.5", "--omega-n", "1", "--T-grid", "1,2,"], "T-grid", "1,2,"),
+        (["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", "1,,0"], "xf", "1,,0"),
+        (["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", "1,0,"], "xf", "1,0,"),
+        (["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", ""], "xf", ""),
+    ],
+)
+def test_rejects_an_empty_list_item(tmp_path, args, name, text):
+    # Grids and --xf share one list rule: every item is a number.
+    out = tmp_path / "p.csv"
+    message = f"error: {name} must be a comma-separated list of numbers, got {text!r}\n"
+    assert run_in_process(*args, "--out", str(out)) == (2, "", message)
+    assert not out.exists()
 
 
 def test_parser_reuse_matches_fresh_process(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gramkit
+from gramkit.energy import ControlProfile
 from gramkit.lti import (
     DampingRegime,
     OscillatorParams,
     StateSpaceModel,
-    Trajectory,
     classify_regime,
     controllability_rank,
     expm_scaling_squaring,
@@ -459,7 +461,7 @@ class TestSimulate:
         for i in range(steps):
             x = Phi @ x + (P0 - P1) @ u[i] + P1 @ u[i + 1]
             expected.append(x)
-        states = simulate(model, u, x0, T, steps).states
+        states = simulate(model, u, x0, T)
         np.testing.assert_allclose(states, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
 
     def test_scan_against_exact_recurrence(self):
@@ -488,7 +490,7 @@ class TestSimulate:
             x0 = rng.normal(size=model.n)
             exact = exact_step_recurrence(model, u, x0, T, steps)
             scale = np.abs(exact).max()
-            scan_error = np.abs(simulate(model, u, x0, T, steps).states - exact).max() / scale
+            scan_error = np.abs(simulate(model, u, x0, T) - exact).max() / scale
             loop_error = np.abs(stepped_recurrence(model, u, x0, T, steps) - exact).max() / scale
             bound = max(1e-14, 2.0 * np.abs(np.linalg.eigvals(model.A)).max() * T * 2.0**-53)
             assert scan_error <= bound, (model.A.tolist(), T, steps, scan_error, bound)
@@ -501,11 +503,11 @@ class TestSimulate:
         model = StateSpaceModel(A=np.array([[0.0, 1.0], [-4.0, -0.4]]), B=rng.normal(size=(2, 2)))
         u = rng.normal(size=(steps + 1, 2))
         x0 = rng.normal(size=2)
-        traj = simulate(model, u, x0, 3.0, steps)
+        states = simulate(model, u, x0, 3.0)
         exact = exact_step_recurrence(model, u, x0, 3.0, steps)
-        assert traj.states.shape == (steps + 1, 2)
-        assert traj.states[0].tolist() == x0.tolist()
-        np.testing.assert_allclose(traj.states, exact, rtol=0.0, atol=1e-14 * np.abs(exact).max())
+        assert states.shape == (steps + 1, 2)
+        assert states[0].tolist() == x0.tolist()
+        np.testing.assert_allclose(states, exact, rtol=0.0, atol=1e-14 * np.abs(exact).max())
 
     def test_no_spurious_overflow(self):
         # R^2000 = e^700 = 1.0e304 is finite; R^4096 is not, so the scan must
@@ -513,28 +515,27 @@ class TestSimulate:
         model = StateSpaceModel(A=np.array([[1.0]]), B=np.array([[1.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            final = simulate(model, np.zeros(2001), np.array([1.0]), 700.0, 2000).states[-1, 0]
+            final = simulate(model, np.zeros(2001), np.array([1.0]), 700.0)[-1, 0]
         assert final == pytest.approx(math.exp(700.0), rel=1e-12, abs=0.0)
 
     def test_equilibrium_stays_put(self):
         model = osc_model(0.5, 1.0)
-        traj = simulate(model, np.zeros(101), np.zeros(2), T=1.0, steps=100)
-        assert np.all(traj.states == 0.0)
+        assert np.all(simulate(model, np.zeros(101), np.zeros(2), T=1.0) == 0.0)
 
     def test_undamped_energy_conservation(self):
         model = osc_model(0.0, 1.0)
         steps = 10_000
-        traj = simulate(model, np.zeros(steps + 1), np.array([1.0, 0.0]), T=10.0, steps=steps)
-        energy = 0.5 * (traj.states[:, 1] ** 2 + traj.states[:, 0] ** 2)
+        states = simulate(model, np.zeros(steps + 1), np.array([1.0, 0.0]), T=10.0)
+        energy = 0.5 * (states[:, 1] ** 2 + states[:, 0] ** 2)
         assert np.abs(energy - energy[0]).max() < 1e-6
 
     def test_matches_exponential_solution(self):
         model = osc_model(0.5, 1.0)
         x0 = np.array([1.0, 0.0])
         steps = 1000  # h = 5e-3 < 1e-3 * (2*pi / omega_n)
-        traj = simulate(model, np.zeros(steps + 1), x0, T=5.0, steps=steps)
-        exact = np.array([matrix_exponential(model.A, t) @ x0 for t in traj.times])
-        assert np.abs(traj.states - exact).max() < 1e-6
+        states = simulate(model, np.zeros(steps + 1), x0, T=5.0)
+        exact = np.array([matrix_exponential(model.A, t) @ x0 for t in np.linspace(0.0, 5.0, steps + 1)])
+        assert np.abs(states - exact).max() < 1e-6
 
     def test_zero_input_response_is_the_exponential(self):
         # Each step is e^{A h} exactly, so without input the state at every
@@ -544,25 +545,34 @@ class TestSimulate:
         for zeta in (0.0, 0.5, 1.0, 3.0):
             for T, steps in ((5.0, 200), (50.0, 2000)):
                 model = osc_model(zeta, 1.0)
-                traj = simulate(model, np.zeros(steps + 1), x0, T=T, steps=steps)
-                exact = matrix_exponential(model.A, traj.times) @ x0
-                error = np.abs(traj.states - exact).max() / np.abs(exact).max()
+                states = simulate(model, np.zeros(steps + 1), x0, T=T)
+                exact = matrix_exponential(model.A, np.linspace(0.0, T, steps + 1)) @ x0
+                error = np.abs(states - exact).max() / np.abs(exact).max()
                 assert error <= 2e-14, (zeta, T, error)
 
     def test_validation(self):
         model = osc_model(0.5, 1.0)
         with pytest.raises(ValueError):
-            simulate(model, np.zeros(11), np.zeros(2), T=0.0, steps=10)
-        with pytest.raises(ValueError):
-            simulate(model, np.zeros(11), np.zeros(2), T=1.0, steps=0)
+            simulate(model, np.zeros(11), np.zeros(2), T=0.0)
+        with pytest.raises(ValueError, match=r"steps >= 1, got \(1, 1\)"):
+            simulate(model, np.zeros(1), np.zeros(2), T=1.0)
         with pytest.raises(ValueError, match="shape"):
-            simulate(model, np.zeros(11), np.zeros(3), T=1.0, steps=10)
-        with pytest.raises(ValueError, match="shape"):
-            simulate(model, np.zeros(10), np.zeros(2), T=1.0, steps=10)
+            simulate(model, np.zeros(11), np.zeros(3), T=1.0)
+        with pytest.raises(ValueError, match=r"steps >= 1, got \(11, 2\)"):
+            simulate(model, np.zeros((11, 2)), np.zeros(2), T=1.0)
         bad_u = np.zeros(11)
         bad_u[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            simulate(model, bad_u, np.zeros(2), T=1.0, steps=10)
+            simulate(model, bad_u, np.zeros(2), T=1.0)
+
+    def test_signature_is_model_u_x0_T(self):
+        # The step count is the input's and the grid is the caller's, so
+        # simulate returns the states alone.
+        assert list(inspect.signature(simulate).parameters) == ["model", "u", "x0", "T"]
+        assert not hasattr(gramkit.lti, "Trajectory")
+        assert "Trajectory" not in gramkit.__all__
+        states = simulate(osc_model(0.5, 1.0), np.zeros(8), np.array([1.0, 0.0]), 1.0)
+        assert isinstance(states, np.ndarray) and states.shape == (8, 2)
 
 
 class TestControllabilityRank:
@@ -643,11 +653,13 @@ class TestUniformGrid:
                     _require_uniform_grid(times)
 
     @pytest.mark.parametrize("times", [[0.0, math.inf], [-1.7e308, 1.7e308]])
-    def test_trajectory_refuses_a_non_finite_step(self, times):
+    def test_control_profile_refuses_a_non_finite_step(self, times):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite steps"):
-                Trajectory(times=np.array(times), states=np.zeros((2, 1)), inputs=np.zeros((2, 1)))
+                ControlProfile(
+                    times=np.array(times), values=np.zeros((2, 1)), target=np.ones(2), predicted_energy=1.0
+                )
 
 
 class TestStateSpaceModel:

@@ -38,7 +38,7 @@ ENTRY_POINTS = [
                  id="damping-from_physical"),
     pytest.param("stiffness", lambda v: OscillatorParams.from_physical(1.0, 1.0, v), 0.0,
                  id="stiffness-from_physical"),
-    pytest.param("T", lambda v: simulate(MODEL, np.zeros(11), np.zeros(2), v, 10), 0.0,
+    pytest.param("T", lambda v: simulate(MODEL, np.zeros(11), np.zeros(2), v), 0.0,
                  id="T-simulate"),
     pytest.param("T", lambda v: synthesize_min_energy_control(MODEL, v, np.ones(2), 100), -1.0,
                  id="T-synthesize_min_energy_control"),
@@ -98,9 +98,9 @@ GRID = np.linspace(0.0, 1.0, 3)
 
 # (array name, public entry point given one bad entry)
 ARRAY_INPUTS = [
-    pytest.param("u", lambda v: simulate(MODEL, np.full(11, v), np.zeros(2), 1.0, 10),
+    pytest.param("u", lambda v: simulate(MODEL, np.full(11, v), np.zeros(2), 1.0),
                  id="u-simulate"),
-    pytest.param("x0", lambda v: simulate(MODEL, np.zeros(11), np.array([0.0, v]), 1.0, 10),
+    pytest.param("x0", lambda v: simulate(MODEL, np.zeros(11), np.array([0.0, v]), 1.0),
                  id="x0-simulate"),
     pytest.param("values", lambda v: ControlProfile(GRID, np.full((3, 1), v), np.ones(2), 1.0),
                  id="values-ControlProfile"),

@@ -86,6 +86,14 @@ COARSE_TRANSFERS = [
     ["--zeta", "0.05", "--omega-n", "8", "--T", "400"],
 ]
 
+# Lists refused as a whole: a nan does not hide a decrease, and no item is empty.
+LIST_REFUSALS = [
+    ["sweep", "--zeta-grid", "2,nan,1", "--omega-n", "1"],
+    ["sweep", "--zeta-grid", "0.5,,1", "--omega-n", "1"],
+    ["sweep", "--zeta", "0.5", "--omega-n", "1", "--T-grid", "1,2,"],
+    ["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", "1,,0", "--out", OUT],
+]
+
 
 def corpus() -> list[list[str]]:
     runs = []
@@ -118,6 +126,7 @@ def corpus() -> list[list[str]]:
                      "--xf", target, "--out", OUT])
     for point in COARSE_TRANSFERS:
         runs.append(["synthesize", *point, "--xf", "1,0", "--out", OUT])
+    runs.extend(LIST_REFUSALS)
     return runs
 
 
