@@ -22,10 +22,10 @@ from .lti import (
     StateSpaceModel,
     _readonly,
     _require_finite,
+    _require_finite_scalar,
     _require_nonnegative,
     _require_positive,
     _require_state,
-    _require_uniform_grid,
     matrix_exponential,
     simulate,
 )
@@ -35,28 +35,35 @@ from .lti import (
 class ControlProfile:
     """An open-loop control sampled on a uniform grid over [0, T].
 
-    values has shape (len(times), m); target is the intended final state;
-    predicted_energy is the quadratic form x_f^T W_T^{-1} x_f.
+    values has one row per node of the grid ``times`` and one column per
+    input; target is the intended final state; predicted_energy is the
+    quadratic form x_f^T W_T^{-1} x_f.
     """
 
-    times: np.ndarray
+    T: float
     values: np.ndarray
     target: np.ndarray
     predicted_energy: float
 
     def __post_init__(self) -> None:
-        times = _require_uniform_grid(self.times)
+        T = _require_positive("T", self.T)
         values = np.asarray(self.values, dtype=float)
-        if times[0] != 0.0:
-            raise ValueError("times must be a grid starting at 0")
-        if values.ndim != 2 or len(values) != len(times):
-            raise ValueError("values must be 2-D with one row per grid node")
+        if values.ndim != 2 or len(values) < 2:
+            raise ValueError(f"values must be 2-D with at least two rows, got shape {values.shape}")
         values = _require_finite("values", values)
         target = _require_finite("target", self.target)
-        _require_nonnegative("predicted_energy", self.predicted_energy)
-        object.__setattr__(self, "times", _readonly(times))
+        predicted_energy = _require_nonnegative("predicted_energy", self.predicted_energy)
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "target", _readonly(target))
+        object.__setattr__(self, "predicted_energy", predicted_energy)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid ``linspace(0, T, len(values))``, read-only: one node per row."""
+        times = np.linspace(0.0, self.T, len(self.values))
+        times.setflags(write=False)
+        return times
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ def synthesize_min_energy_control(
     x_f : ndarray, shape (n,)
         Target state, reached from x(0) = 0.
     steps : int
-        Grid intervals, >= 100.
+        Grid intervals, an integer >= 100.
 
     Returns
     -------
@@ -145,6 +152,8 @@ def synthesize_min_energy_control(
         When x_f^T W_T^{-1} x_f leaves the double range.
     """
     T = _require_positive("T", T)
+    if not _require_finite_scalar("steps", steps).is_integer():
+        raise ValueError(f"steps must be an integer, got {steps}")
     steps = int(steps)
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
@@ -164,7 +173,7 @@ def synthesize_min_energy_control(
         values = np.zeros((steps + 1, m))
         for k in range(n):
             values += p[k] * PhiB[:, k]
-    return ControlProfile(times=times, values=values, target=x_f, predicted_energy=predicted)
+    return ControlProfile(T=T, values=values, target=x_f, predicted_energy=predicted)
 
 
 def _integrate_squared_norm(values: np.ndarray, h: float) -> float:
@@ -206,17 +215,17 @@ def verify_control(model: StateSpaceModel, profile: ControlProfile) -> EnergyVer
     Raises ``OverflowError`` when the measured energy, the integral of
     ||u||^2, leaves the double range.
     """
-    steps = len(profile.times) - 1
-    T = float(profile.times[-1])
+    target = _require_state("target", profile.target, model.n)
+    T, steps = profile.T, len(profile.values) - 1
     # The profile's exact response, its samples joined linearly.  Both norms
     # are taken on 2**-e times their vectors, e the exponent of max|target|,
     # so that a representable target's norm cannot overflow; a state that
     # leaves the double range fails the caller's gate without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         final = simulate(model, profile.values, np.zeros(model.n), T)[-1]
-        e = math.frexp(float(np.abs(profile.target).max()))[1]
-        target_norm = float(np.linalg.norm(np.ldexp(profile.target, -e)))
-        gap = float(np.linalg.norm(np.ldexp(final - profile.target, -e)))
+        e = math.frexp(float(np.abs(target).max()))[1]
+        target_norm = float(np.linalg.norm(np.ldexp(target, -e)))
+        gap = float(np.linalg.norm(np.ldexp(final - target, -e)))
         final_error = gap / target_norm if target_norm > 0.0 else gap
         measured = _integrate_squared_norm(profile.values, T / steps)
         if profile.predicted_energy > 0.0:

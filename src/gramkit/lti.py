@@ -82,21 +82,6 @@ def _require_state(name: str, x: np.ndarray, n: int) -> np.ndarray:
     return _require_finite(name, x)
 
 
-def _require_uniform_grid(times: np.ndarray) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2:
-        raise ValueError("times must be a 1-D grid with at least two nodes")
-    # A step between finite nodes can overflow; it is refused with the rest.
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff(times)
-    if not np.isfinite(steps).all():
-        raise ValueError("times must be a grid of finite steps")
-    step = steps[0]
-    if not (steps > 0.0).all() or not (np.abs(steps - step) <= 1e-9 * step).all():
-        raise ValueError("times must be strictly increasing with constant step")
-    return times
-
-
 def classify_regime(zeta: float) -> DampingRegime:
     """Classify the damping regime of a dimensionless damping factor.
 

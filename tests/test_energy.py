@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -222,6 +224,12 @@ class TestSynthesis:
             synthesize_min_energy_control(model, 5.0, np.array([1.0, 0.0]), 50)
         with pytest.raises(ValueError, match="shape"):
             synthesize_min_energy_control(model, 5.0, np.array([1.0, 0.0, 0.0]), 200)
+        # A step count that is not an integer is refused by name, not truncated.
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got 150.9$"):
+            synthesize_min_energy_control(model, 5.0, np.array([1.0, 0.0]), 150.9)
+        for steps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^steps must be finite, got {steps}$"):
+                synthesize_min_energy_control(model, 5.0, np.array([1.0, 0.0]), steps)
 
     def test_short_horizon_is_numerically_singular(self):
         # W_T collapses like diag(T^3, T) as T -> 0; the eigenvalue-ratio
@@ -234,7 +242,7 @@ class TestVerification:
     def test_zero_profile(self):
         model = osc_model(0.5, 1.0)
         profile = ControlProfile(
-            times=np.linspace(0.0, 1.0, 101),
+            T=1.0,
             values=np.zeros((101, 1)),
             target=np.zeros(2),
             predicted_energy=0.0,
@@ -244,16 +252,24 @@ class TestVerification:
         assert report.measured_energy == 0.0
         assert report.final_state_error == 0.0
 
+    @pytest.mark.parametrize("target", [[1.0], [1.0, 0.0, 0.0]])
+    def test_target_must_be_a_state_of_the_model(self, target):
+        # The target is compared with the model's final state, so a target of
+        # another shape is refused by name rather than broadcast.
+        profile = ControlProfile(T=1.0, values=np.zeros((101, 1)), target=target, predicted_energy=1.0)
+        with pytest.raises(ValueError, match=r"^target must have shape \(2,\), got \("):
+            verify_control(osc_model(0.5, 1.0), profile)
+
     def test_one_interval_is_the_trapezoid(self):
         # One interval integrates ||u||^2 as h (u0^2 + u1^2) / 2, exact here.
-        profile = ControlProfile([0.0, 0.25], [[3.0], [-1.0]], [1.0, 0.0], 1.0)
+        profile = ControlProfile(0.25, [[3.0], [-1.0]], [1.0, 0.0], 1.0)
         assert verify_control(osc_model(0.5, 1.0), profile).measured_energy == 1.25
 
     def test_amplified_profile_scales_energy_quadratically(self):
         model = osc_model(0.5, 1.0)
         profile = synthesize_min_energy_control(model, 5.0, np.array([1.0, 0.0]), 400)
         bumped = ControlProfile(
-            times=profile.times,
+            T=profile.T,
             values=1.1 * profile.values,
             target=profile.target,
             predicted_energy=profile.predicted_energy,
@@ -272,7 +288,7 @@ class TestVerification:
 
         def measured(k):
             profile = ControlProfile(
-                times=base.times,
+                T=base.T,
                 values=np.ldexp(base.values, k),
                 target=np.ldexp(base.target, k),
                 predicted_energy=0.0,
@@ -294,7 +310,7 @@ class TestVerification:
         model = osc_model(0.5, 1e-5)
         base = synthesize_min_energy_control(model, 1e7, np.array([1.0, 0.0]), 2000)
         scaled = ControlProfile(
-            times=base.times,
+            T=base.T,
             values=np.ldexp(base.values, 530),
             target=np.ldexp(base.target, 530),
             predicted_energy=0.0,
@@ -320,7 +336,7 @@ class TestVerification:
                 c * np.sin((k + 1) * np.pi * grid / T) for k, c in enumerate(coeffs)
             )
             perturbed = ControlProfile(
-                times=grid,
+                T=T,
                 values=optimal.values + delta[:, None],
                 target=x_f,
                 predicted_energy=optimal.predicted_energy,
@@ -328,7 +344,7 @@ class TestVerification:
             reached = verify_control(model, perturbed).achieved_final_state
             correction = synthesize_min_energy_control(model, T, x_f - reached, steps)
             total = ControlProfile(
-                times=grid,
+                T=T,
                 values=perturbed.values + correction.values,
                 target=x_f,
                 predicted_energy=optimal.predicted_energy,
@@ -339,30 +355,36 @@ class TestVerification:
 
 
 class TestControlProfile:
-    def test_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError, match="grid"):
-            ControlProfile(
-                times=np.linspace(1.0, 2.0, 11),
-                values=np.zeros((11, 1)),
-                target=np.zeros(2),
-                predicted_energy=0.0,
-            )
+    def test_is_T_and_samples_with_a_derived_grid(self):
+        # The record holds T and its samples; its grid is linspace(0, T, rows),
+        # bit for bit the grid synthesis samples on.
+        T, steps = 3.0, 301
+        profile = synthesize_min_energy_control(osc_model(0.5, 1.0), T, np.array([1.0, 0.0]), steps)
+        fields = [f.name for f in dataclasses.fields(ControlProfile)]
+        assert fields == ["T", "values", "target", "predicted_energy"]
+        grid = np.linspace(0.0, T, steps + 1)
+        assert profile.times.tobytes() == grid.tobytes()
+        assert not profile.times.flags.writeable
+        with pytest.raises(AttributeError):
+            profile.times = grid
+        replaced = dataclasses.replace(profile, predicted_energy=2.0)
+        assert replaced.predicted_energy == 2.0
+        assert replaced.T == T and np.array_equal(replaced.values, profile.values)
+        with pytest.raises(ValueError, match=r"^values must be 2-D with at least two rows"):
+            ControlProfile(T=T, values=np.zeros((1, 1)), target=np.zeros(2), predicted_energy=0.0)
+        with pytest.raises(TypeError):
+            ControlProfile(times=grid, values=profile.values, target=profile.target, predicted_energy=1.0)
 
-    def test_grid_must_be_uniform(self):
-        times = np.linspace(0.0, 1.0, 11).copy()
-        times[5] += 0.03
-        with pytest.raises(ValueError, match="constant step"):
-            ControlProfile(
-                times=times,
-                values=np.zeros((11, 1)),
-                target=np.zeros(2),
-                predicted_energy=0.0,
-            )
+    def test_stores_the_floats_it_validated(self):
+        profile = ControlProfile(T=2, values=np.zeros((11, 1)), target=np.zeros(2), predicted_energy="2")
+        assert type(profile.T) is float and profile.T == 2.0
+        assert type(profile.predicted_energy) is float and profile.predicted_energy == 2.0
+        assert verify_control(osc_model(0.5, 1.0), profile).energy_mismatch == 1.0
 
     def test_rejects_negative_energy(self):
         with pytest.raises(ValueError, match="predicted_energy"):
             ControlProfile(
-                times=np.linspace(0.0, 1.0, 11),
+                T=1.0,
                 values=np.zeros((11, 1)),
                 target=np.zeros(2),
                 predicted_energy=-1.0,

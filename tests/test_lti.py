@@ -10,7 +10,6 @@ import pytest
 import scipy.linalg
 
 import gramkit
-from gramkit.energy import ControlProfile
 from gramkit.lti import (
     DampingRegime,
     OscillatorParams,
@@ -24,7 +23,6 @@ from gramkit.lti import (
     simulate,
     _expm_stack,
     _foh_step,
-    _require_uniform_grid,
 )
 
 # exp(A) for zeta=0.5, omega_n=1, frozen from the scaling-and-squaring
@@ -612,54 +610,6 @@ class TestControllabilityRank:
             assert rank == wide, (A.tolist(), B.tolist())
             deficient += rank < n
         assert deficient >= 1000
-
-
-class TestUniformGrid:
-    # Among grids whose steps are finite, the grids np.allclose accepts.
-    @pytest.mark.parametrize(
-        "times, accepted",
-        [
-            ([0.0, math.inf], False),  # an infinite step, although np.isclose takes it as close
-            ([-math.inf, 0.0], False),
-            ([0.0, 1.0, 2.0 + 0.999e-9], True),  # step jitter just inside 1e-9
-            ([0.0, 1.0, 2.0 + 1.001e-9], False),  # and just outside
-            ([0.0, 1.0, 2.0 - 0.999e-9], True),
-            ([0.0, 1.0, 2.0 - 1.001e-9], False),
-            ([0.0, 1.0, math.nan], False),
-            ([0.0, math.nan, 2.0], False),
-            ([0.0, 1.0, math.inf], False),
-            ([0.0, 1.0, 1.0], False),
-            ([1.0, 0.0], False),
-            ([math.inf, 0.0], False),
-            ([0.0, -math.inf], False),
-            ([-1.7e308, 1.7e308], False),  # finite nodes whose step overflows
-        ],
-    )
-    def test_accepts_the_grids_allclose_accepts(self, times, accepted):
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = np.diff(times)
-            reference = (
-                np.isfinite(steps).all()
-                and np.all(steps > 0.0)
-                and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-            )
-        assert reference == accepted
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if accepted:
-                assert _require_uniform_grid(times).tolist() == times
-            else:
-                with pytest.raises(ValueError, match="constant step|finite steps"):
-                    _require_uniform_grid(times)
-
-    @pytest.mark.parametrize("times", [[0.0, math.inf], [-1.7e308, 1.7e308]])
-    def test_control_profile_refuses_a_non_finite_step(self, times):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite steps"):
-                ControlProfile(
-                    times=np.array(times), values=np.zeros((2, 1)), target=np.ones(2), predicted_energy=1.0
-                )
 
 
 class TestStateSpaceModel:

@@ -44,6 +44,10 @@ ENTRY_POINTS = [
                  id="T-synthesize_min_energy_control"),
     pytest.param("T", lambda v: finite_horizon_gramian(MODEL, v), -1.0,
                  id="T-finite_horizon_gramian"),
+    pytest.param("T", lambda v: ControlProfile(v, np.zeros((3, 1)), np.ones(2), 1.0), 0.0,
+                 id="T-ControlProfile"),
+    pytest.param("predicted_energy", lambda v: ControlProfile(1.0, np.zeros((3, 1)), np.ones(2), v), -1.0,
+                 id="predicted_energy-ControlProfile"),
     pytest.param("c", lambda v: fisher_dual_determinant(0.5, c=v), 0.0,
                  id="c-fisher_dual_determinant"),
     pytest.param("c", lambda v: info_entropy_report(GRAM, c=v), -2.0,
@@ -94,17 +98,15 @@ def test_range_checks(value, positive, nonnegative):
             assert math.copysign(1.0, result) == math.copysign(1.0, expected)
 
 
-GRID = np.linspace(0.0, 1.0, 3)
-
 # (array name, public entry point given one bad entry)
 ARRAY_INPUTS = [
     pytest.param("u", lambda v: simulate(MODEL, np.full(11, v), np.zeros(2), 1.0),
                  id="u-simulate"),
     pytest.param("x0", lambda v: simulate(MODEL, np.zeros(11), np.array([0.0, v]), 1.0),
                  id="x0-simulate"),
-    pytest.param("values", lambda v: ControlProfile(GRID, np.full((3, 1), v), np.ones(2), 1.0),
+    pytest.param("values", lambda v: ControlProfile(1.0, np.full((3, 1), v), np.ones(2), 1.0),
                  id="values-ControlProfile"),
-    pytest.param("target", lambda v: ControlProfile(GRID, np.zeros((3, 1)), np.array([v, 0.0]), 1.0),
+    pytest.param("target", lambda v: ControlProfile(1.0, np.zeros((3, 1)), np.array([v, 0.0]), 1.0),
                  id="target-ControlProfile"),
     pytest.param("x_f", lambda v: min_control_energy(GRAM, np.array([1.0, v])),
                  id="x_f-min_control_energy"),
