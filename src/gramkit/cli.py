@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Iterator
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from .gramian import (
     oscillator_gramian_closed_form,
 )
 from .lti import OscillatorParams, StateSpaceModel, make_oscillator
-from .lti import _oscillator_entries, _require_finite, _require_positive
+from .lti import _oscillator_entries, _raise_first_failure, _require_finite, _require_positive
 
 SCHEMA_VERSION = 1
 
@@ -99,31 +98,34 @@ def _params_from_args(args: argparse.Namespace) -> OscillatorParams:
     return OscillatorParams(zeta=args.zeta, omega_n=args.omega_n)
 
 
-def _report_rows(leads: list, W: np.ndarray, c: float, k_b: float) -> Iterator[tuple]:
-    """The CSV cells of each report row, from one pass over its Gramians.
+def _report_rows(leads: list, W: np.ndarray, c: float, k_b: float) -> list[tuple]:
+    """The CSV cells of each report row, from one array pass over its Gramians.
 
     ``leads`` holds the first five cells of each row, (zeta, omega_n,
     regime, horizon kind, formatted horizon seconds), and W the (k, 2, 2)
     Gramians, symmetrized here as ``GramianResult`` does; leads past the
     last Gramian are not reported.  The duality/entropy chain always
-    derives from the determinant of the reported Gramian.  A row that fails
-    raises when it is reached, so a table reports its first failing row,
-    and within it the first failing check: the determinant's range, the
-    entropy chain, then the condition number.
+    derives from the determinant of the reported Gramian, with c and k_B
+    checked once for the table and both logs taken by ``math.log``.  Every
+    check is evaluated over the whole stack before anything is raised, and
+    a table that fails raises its first failing row's first failing check,
+    in the order: det(W) overflow, det(W) underflow, det(W) > 0, c, the
+    det(I) range, k_B, the S range, the condition number.
     """
     W = _symmetrize(W)
     # A trace that overflows (inf) belongs to a row whose det(W) overflows,
-    # which raises before its trace is reported.
+    # which fails before its trace is reported.
     eigenvalues, trace = _spectra(W)
-    for lead, w, lam, tr in zip(leads, W.tolist(), eigenvalues.tolist(), trace.tolist()):
-        det_wc, det_i, h, s, entropy_index = _entropy_chain(_cofactor_determinant(w), 2, c, k_b)
-        cond = _condition_number(lam[0], lam[-1])
-        if cond == math.inf:
-            raise ArithmeticError(
-                f"condition number of the Gramian is not finite (eigenvalues {lam})"
-            )
-        yield lead + (w[0][0], w[0][1], w[1][1], det_wc, lam[0], lam[-1], tr, cond,
-                      det_i, h, s, entropy_index)
+    det_wc, det_checks = _cofactor_determinant(W)
+    chain, chain_checks = _entropy_chain(det_wc, 2, c, k_b)
+    cond = _condition_number(eigenvalues)
+    cond_check = (cond == math.inf, lambda i: ArithmeticError(
+        f"condition number of the Gramian is not finite (eigenvalues {eigenvalues[i].tolist()})"))
+    _raise_first_failure(det_checks + chain_checks + [cond_check])
+    columns = (W[:, 0, 0], W[:, 0, 1], W[:, 1, 1], det_wc, eigenvalues[:, 0], eigenvalues[:, -1],
+               trace, cond, *chain)
+    # The leads, transposed into their five columns, then the twelve numbers.
+    return list(zip(*zip(*leads), *(column.tolist() for column in columns)))
 
 
 def _analysis_record(
@@ -192,7 +194,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
     seconds = "" if horizon_seconds is None else "%.17g" % horizon_seconds
     lead = (params.zeta, params.omega_n, params.regime.value, gram.horizon.kind, seconds)
-    row = next(_report_rows([lead], gram.matrix[None], args.duality_c, args.kb))
+    row = _report_rows([lead], gram.matrix[None], args.duality_c, args.kb)[0]
     if args.format == "csv":
         text = ",".join(CSV_COLUMNS) + "\n" + CSV_ROW % row
     else:

@@ -19,8 +19,10 @@ from .errors import NonHurwitzError, QuadratureConvergenceError
 from .lti import (
     OscillatorParams,
     StateSpaceModel,
+    _Check,
     _expm_stack,
     _norm1,
+    _raise_first_failure,
     _readonly,
     _require_nonnegative,
     _require_square,
@@ -485,23 +487,28 @@ def gramian_determinant(g: GramianResult) -> float:
         if det and abs(det) < sys.float_info.min:
             raise ArithmeticError(f"Gramian determinant underflows (entries {g.matrix.tolist()})")
         return det
-    return _cofactor_determinant(g.matrix.tolist())
+    det, checks = _cofactor_determinant(g.matrix[None])
+    _raise_first_failure(checks)
+    return float(det[0])
 
 
-def _cofactor_determinant(W: list[list[float]]) -> float:
-    """Cofactor det(W) of a 2x2 matrix given as nested lists of floats.
+def _cofactor_determinant(W: np.ndarray) -> tuple[np.ndarray, list[_Check]]:
+    """Cofactor det(W) of each matrix of a (k, 2, 2) stack, and its checks.
 
-    Raises ``OverflowError`` when det(W) overflows, and ``ArithmeticError``
-    when the product of two nonzero diagonal entries falls below the normal
-    double range.
+    The checks, in order, for ``_raise_first_failure``: det(W) overflows
+    (``OverflowError``), and the product of two nonzero diagonal entries
+    falls below the normal double range (``ArithmeticError``).
     """
-    diagonal = W[0][0] * W[1][1]
-    det = diagonal - W[0][1] * W[1][0]
-    if not math.isfinite(det):
-        raise OverflowError(f"Gramian determinant overflows (entries {W})")
-    if W[0][0] and W[1][1] and abs(diagonal) < sys.float_info.min:
-        raise ArithmeticError(f"Gramian determinant underflows (entries {W})")
-    return det
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        diagonal = W[:, 0, 0] * W[:, 1, 1]
+        det = diagonal - W[:, 0, 1] * W[:, 1, 0]
+    nonzero = (W[:, 0, 0] != 0.0) & (W[:, 1, 1] != 0.0)
+    return det, [
+        (~np.isfinite(det),
+         lambda i: OverflowError(f"Gramian determinant overflows (entries {W[i].tolist()})")),
+        (nonzero & (np.abs(diagonal) < sys.float_info.min),
+         lambda i: ArithmeticError(f"Gramian determinant underflows (entries {W[i].tolist()})")),
+    ]
 
 
 @dataclass(frozen=True)
@@ -528,7 +535,7 @@ def gramian_spectrum(g: GramianResult) -> GramianSpectrum:
     return GramianSpectrum(
         eigenvalues=eigenvalues,
         trace=float(trace),
-        condition_number=_condition_number(lam_min, lam_max),
+        condition_number=float(_condition_number(eigenvalues[None])[0]),
         uncontrollable_direction=lam_min <= SPD_RATIO_FLOOR * lam_max,
     )
 
@@ -541,6 +548,9 @@ def _spectra(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigvalsh(W), W.trace(axis1=-2, axis2=-1)
 
 
-def _condition_number(lam_min: float, lam_max: float) -> float:
-    """lambda_max / lambda_min, or inf when lambda_min <= 0."""
-    return math.inf if lam_min <= 0.0 else lam_max / lam_min
+def _condition_number(eigenvalues: np.ndarray) -> np.ndarray:
+    """lambda_max / lambda_min of each row of a (k, n) stack of ascending
+    eigenvalues, or inf where lambda_min <= 0."""
+    lam_min, lam_max = eigenvalues[:, 0], eigenvalues[:, -1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(lam_min <= 0.0, math.inf, lam_max / lam_min)

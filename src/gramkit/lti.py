@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +66,27 @@ def _require_finite(name: str, a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         _require_finite_scalar(name, a[~np.isfinite(a)][0])
     return a
+
+
+# A check over the rows of a stack: the mask of rows that fail it, and the
+# error of failing row i.
+_Check = tuple[np.ndarray, Callable[[int], Exception]]
+
+
+def _raise_first_failure(checks: list[_Check]) -> None:
+    """Raise the error of the first row of a stack that fails a check, for
+    the first check that row fails.
+
+    ``checks`` holds, in check order, a boolean mask over the rows and a
+    function giving the error of row i.  Every mask is formed before
+    anything is raised, so an early row that fails a late check wins over a
+    later row that fails an early one.
+    """
+    failed = np.array([mask for mask, _ in checks])
+    rows = failed.any(axis=0)
+    if rows.any():
+        i = int(rows.argmax())
+        raise checks[int(failed[:, i].argmax())][1](i)
 
 
 def _require_square(name: str, M: np.ndarray) -> np.ndarray:
@@ -309,11 +330,11 @@ def _damped_cos_sin(zeta: float, omega_n: float, t: np.ndarray) -> tuple[np.ndar
     if zeta <= 1.0:
         wd = omega_n * math.sqrt((1.0 - zeta) * (1.0 + zeta))
         env = np.exp(-decay)
+        if wd == 0.0:  # every phase is +-0: C = 1 and S = t
+            return env, env * t
         phase = wd * t
-        # At omega_d = 0 every phase is subnormal, and the unused quotient
-        # is taken over 1 so that it stays finite.
         tiny = np.abs(phase) < sys.float_info.min
-        s_d = np.where(tiny, env * t, env * np.sin(phase) / (wd if wd > 0.0 else 1.0))
+        s_d = np.where(tiny, env * t, env * np.sin(phase) / wd)
         return env * np.cos(phase), s_d
     # Overdamped: combine the decay with cosh/sinh so no intermediate
     # overflows; the small-mu*t cancellation goes through expm1 at a

@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gramkit import cli
 from gramkit.energy import synthesize_min_energy_control
@@ -413,6 +415,68 @@ def test_rejects_an_empty_list_item(tmp_path, args, name, text):
     message = f"error: {name} must be a comma-separated list of numbers, got {text!r}\n"
     assert run_in_process(*args, "--out", str(out)) == (2, "", message)
     assert not out.exists()
+
+
+# 2 x 2 Gramians and the message start of the report check each fails
+# first at c = 1, k_B = 1e307 (None: it passes them all).
+REPORT_POOL = {
+    "passes": ([[2.0, 0.3], [0.3, 1.5]], None),
+    "passes once symmetrized": ([[2.0, 0.3], [0.5, 1.5]], None),
+    "det(W) overflow": ([[1e200, 0.0], [0.0, 1e200]], "Gramian determinant overflows"),
+    "det(W) underflow": ([[1e-200, 0.0], [0.0, 1e-200]], "Gramian determinant underflows"),
+    "det(W) > 0": ([[1.0, 2.0], [2.0, 1.0]], "det(W) = -3.0 is not positive"),
+    # a normal diagonal product, a subnormal det(W) = 4e-313
+    "det(I) range": ([[2e-154, 1.99999e-154], [1.99999e-154, 2e-154]], "det(I) = c / det(W)"),
+    "S range": ([[1e-10, 0.0], [0.0, 1e-10]], "S = k_B * H overflows"),
+    "condition number": ([[-1.0, 0.0], [0.0, -2.0]], "condition number of the Gramian"),
+}
+REPORT_LEADS = [(float(i), 1.0, "underdamped", "finite", "1") for i in range(7)]
+
+
+def report_outcome(leads, W, c, k_b):
+    """The rows of a report pass, or the type and message of its error."""
+    try:
+        return cli._report_rows(leads, W, c, k_b)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", REPORT_POOL)
+def test_report_pool_fails_its_named_check(name):
+    W, message = REPORT_POOL[name]
+    outcome = report_outcome(REPORT_LEADS[:1], np.array([W]), 1.0, 1e307)
+    if message is None:
+        assert isinstance(outcome, list), outcome
+    else:
+        assert outcome[1].startswith(message), outcome
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(sorted(REPORT_POOL)), min_size=1, max_size=6),
+    c=st.sampled_from([1.0, 2, 1e-10, 1e307, 0.0, -1.0, math.nan, math.inf]),
+    k_b=st.sampled_from([1.0, 0.7, 1e307, 0.0, -1.0, math.nan, math.inf]),
+)
+def test_report_pass_is_its_one_row_calls_in_order(names, c, k_b):
+    # The stacked pass gives the one-row calls' rows concatenated, bit for
+    # bit, or raises the first failing one-row call's error: a row that
+    # fails a late check beats a later row that fails an early one.  One
+    # lead more than there are Gramians is not reported.
+    W = np.array([REPORT_POOL[name][0] for name in names])
+    rows = []
+    for i in range(len(W)):
+        outcome = report_outcome(REPORT_LEADS[i : i + 1], W[i : i + 1], c, k_b)
+        if isinstance(outcome, tuple):
+            expected = outcome
+            break
+        rows += outcome
+    else:
+        expected = rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = report_outcome(REPORT_LEADS[: len(W) + 1], W, c, k_b)
+    # repr tells every double apart, the sign of zero included.
+    assert repr(stacked) == repr(expected)
 
 
 def test_parser_reuse_matches_fresh_process(monkeypatch):

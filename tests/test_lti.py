@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -21,6 +22,7 @@ from gramkit.lti import (
     matrix_exponential,
     oscillator_expm,
     simulate,
+    _damped_cos_sin,
     _expm_stack,
     _foh_step,
 )
@@ -369,6 +371,24 @@ class TestMatrixExponential:
             exact = mpmath.exp(-z * w * tau) * mpmath.sin(wd * tau) / wd
             error = abs(mpmath.mpf(float(oscillator_expm(0.3, omega_n, t)[0, 1])) - exact)
         assert error <= math.ulp(float(exact))
+
+    @pytest.mark.parametrize(
+        "zeta, omega_n", [(1.0, 1e-300), (1.0, 2.0), (1.0, 1e150), (1.0 - 1e-17, 5e-324)]
+    )
+    def test_critical_pair_is_the_phase_form_bit_for_bit(self, zeta, omega_n):
+        # At omega_d = 0 every phase omega_d t is +-0, so the pair is formed
+        # without a sine or a quotient; its bits, signs of zero included, are
+        # those of the phase form: env cos(phase), and env t, the branch of
+        # a subnormal phase.
+        t = np.array([-0.0, 0.0, -3.0, -1e-300, 1e-300, 0.5, 10.0, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _damped_cos_sin(zeta, omega_n, t)
+            env = np.exp(-(zeta * omega_n * t))
+            phase = 0.0 * t
+            tiny = np.abs(phase) < sys.float_info.min
+            expected = env * np.cos(phase), np.where(tiny, env * t, env * np.sin(phase))
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
     def test_squaring_count_recorded(self):
         result = expm_scaling_squaring(np.array([[0.0, 1.0], [-16.0, -4.0]]))

@@ -61,6 +61,9 @@ FAILING_SWEEPS = [
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e3", "--duality-c", "1e300"],
     # S = k_B * H overflow
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e10", "--kb", "1e307"],
+    # row order: row 0 fails the late S range check, row 1 alone the early
+    # det(W) underflow check, and row 0 is reported
+    ["--zeta-grid", "0.5", "--omega-n-grid", "1e10,1e77", "--kb", "1e307"],
     # condition number
     ["--zeta-grid", "1e132", "--omega-n-grid", "5e-133", "--T-grid", "1,1.79e308"],
     # det(W) and the trace of row 1 overflow
