@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .energy import synthesize_min_energy_control, verify_control
-from .entropy import _entropy_chain, nats_to_bits
+from .entropy import LN_2PI_E, _entropy_chain, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
 from .gramian import (
     GramianResult,
@@ -34,7 +34,7 @@ from .gramian import (
     oscillator_gramian_closed_form,
 )
 from .lti import OscillatorParams, StateSpaceModel, make_oscillator
-from .lti import _oscillator_entries, _raise_first_failure, _require_finite, _require_positive
+from .lti import _oscillator_entries, _require_finite, _require_positive
 
 SCHEMA_VERSION = 1
 
@@ -104,28 +104,47 @@ def _report_rows(leads: list, W: np.ndarray, c: float, k_b: float) -> list[tuple
     ``leads`` holds the first five cells of each row, (zeta, omega_n,
     regime, horizon kind, formatted horizon seconds), and W the (k, 2, 2)
     Gramians, symmetrized here as ``GramianResult`` does; leads past the
-    last Gramian are not reported.  The duality/entropy chain always
-    derives from the determinant of the reported Gramian, with c and k_B
-    checked once for the table and both logs taken by ``math.log``.  Every
-    check is evaluated over the whole stack before anything is raised, and
-    a table that fails raises its first failing row's first failing check,
-    in the order: det(W) overflow, det(W) underflow, det(W) > 0, c, the
-    det(I) range, k_B, the S range, the condition number.
+    last Gramian are not reported.  The pass gives the numbers, the chain
+    from the reported Gramian's determinant and both logs by ``math.log``,
+    and marks the rows the one-row chain accepts.  A table with a refused
+    row raises through that chain on its first one: det(W) overflow, det(W)
+    underflow, det(W) > 0, c, the det(I) range, k_B, the S range, then the
+    condition number.
     """
     W = _symmetrize(W)
     # A trace that overflows (inf) belongs to a row whose det(W) overflows,
-    # which fails before its trace is reported.
+    # which is refused before its trace is reported.
     eigenvalues, trace = _spectra(W)
-    det_wc, det_checks = _cofactor_determinant(W)
-    chain, chain_checks = _entropy_chain(det_wc, 2, c, k_b)
     cond = _condition_number(eigenvalues)
-    cond_check = (cond == math.inf, lambda i: ArithmeticError(
-        f"condition number of the Gramian is not finite (eigenvalues {eigenvalues[i].tolist()})"))
-    _raise_first_failure(det_checks + chain_checks + [cond_check])
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        diagonal = W[:, 0, 0] * W[:, 1, 1]
+        det_wc = diagonal - W[:, 0, 1] * W[:, 1, 0]
+        det_i = c / det_wc
+        in_range = (0.0 < det_i) & (det_i < math.inf)
+        h = 0.5 * 2 * LN_2PI_E - 0.5 * _log(np.where(in_range, det_i, 1.0))
+        s = k_b * h
+    underflows = (W[:, 0, 0] != 0.0) & (W[:, 1, 1] != 0.0) & (np.abs(diagonal) < sys.float_info.min)
+    # The rows the one-row chain accepts: a det(W) that overflows, or a c
+    # outside (0, inf), leaves det(I) out of range.
+    valid = (~underflows & (det_wc > 0.0) & in_range & (0.0 < k_b < math.inf) & np.isfinite(s)
+             & (cond != math.inf))
+    if not valid.all():
+        i = int(valid.argmin())
+        # Raises, unless the condition number is all that row fails.
+        _entropy_chain(_cofactor_determinant(W[i].tolist()), 2, c, k_b)
+        raise ArithmeticError(
+            f"condition number of the Gramian is not finite (eigenvalues {eigenvalues[i].tolist()})"
+        )
     columns = (W[:, 0, 0], W[:, 0, 1], W[:, 1, 1], det_wc, eigenvalues[:, 0], eigenvalues[:, -1],
-               trace, cond, *chain)
+               trace, cond, det_i, h, s, _log(det_wc))
     # The leads, transposed into their five columns, then the twelve numbers.
     return list(zip(*zip(*leads), *(column.tolist() for column in columns)))
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element of a 1-D array, whose bits ``np.log``
+    does not always reproduce."""
+    return np.array(list(map(math.log, x.tolist())))
 
 
 def _analysis_record(

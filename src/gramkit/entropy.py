@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramian import GramianResult, gramian_determinant, oscillator_gramian_closed_form
-from .lti import OscillatorParams, _Check, _raise_first_failure
-from .lti import _require_finite, _require_finite_scalar, _require_positive
+from .lti import OscillatorParams, _require_finite, _require_finite_scalar, _require_positive
 
 LN_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -46,6 +45,8 @@ def fisher_dual_determinant(det_wc: float, c: float = 1.0) -> float:
 
 def _check_entropy_args(det: float, n: int) -> tuple[float, int]:
     det = _require_positive("determinant", det)
+    if not _require_finite_scalar("n", n).is_integer():
+        raise ValueError(f"n must be an integer, got {n}")
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -158,10 +159,7 @@ def info_entropy_report(
     Works for any Gramian: n is read from ``gram.n``.  Raises
     ``ArithmeticError`` when det(W) <= 0, where c / det(W) is not finite.
     """
-    det_wc = gramian_determinant(gram)
-    chain, checks = _entropy_chain(np.array([det_wc]), gram.n, c, k_b)
-    _raise_first_failure(checks)
-    det_i, h, s, entropy_index = (float(values[0]) for values in chain)
+    det_wc, det_i, h, s, entropy_index = _entropy_chain(gramian_determinant(gram), gram.n, c, k_b)
     return InfoEntropyReport(
         det_wc=det_wc,
         duality_constant=float(c),
@@ -174,48 +172,15 @@ def info_entropy_report(
 
 
 def _entropy_chain(
-    det_wc: np.ndarray, n: int, c: float, k_b: float
-) -> tuple[tuple[np.ndarray, ...], list[_Check]]:
-    """(det(I), H, S, ln det(W)) for the determinants of a stack of n x n
-    Gramians, and the chain's checks.
+    det_wc: float, n: int, c: float, k_b: float
+) -> tuple[float, float, float, float, float]:
+    """(det(W), det(I), H, S, ln det(W)) for the determinant of an n x n Gramian.
 
-    One array pass: c and k_B are validated once for the whole stack, and
-    both logs are ``math.log`` of each element, whose bits ``np.log`` does
-    not always reproduce.  The checks, in order, for
-    ``_raise_first_failure``: det(W) > 0, c, the det(I) range, k_B, the S
-    range.  Messages name the caller's own c and k_B.
+    Raises at the first failing check, in the order: det(W) > 0, c, the
+    det(I) range, k_B, the S range.
     """
-    k = len(det_wc)
-    c_value, c_check = _positive_check("c", c, k)
-    k_value, k_check = _positive_check("k_b", k_b, k)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        det_i = c_value / det_wc
-        in_range = (0.0 < det_i) & (det_i < math.inf)
-        h = 0.5 * n * LN_2PI_E - 0.5 * _log(np.where(in_range, det_i, 1.0))
-        s = k_value * h
-    entropy_index = _log(np.where(det_wc > 0.0, det_wc, 1.0))
-    return (det_i, h, s, entropy_index), [
-        (~(det_wc > 0.0), lambda i: ArithmeticError(
-            f"det(W) = {float(det_wc[i])} is not positive, so c / det(W) is not finite")),
-        c_check,
-        (~in_range, lambda i: ArithmeticError(
-            f"det(I) = c / det(W) = {c} / {float(det_wc[i])} leaves the double range")),
-        k_check,
-        (~np.isfinite(s), lambda i: OverflowError(
-            f"S = k_B * H overflows (k_B={k_b}, H={float(h[i])})")),
-    ]
-
-
-def _positive_check(name: str, value: float, k: int) -> tuple[float, _Check]:
-    """``_require_positive(name, value)`` as a check that all k rows fail
-    or all pass, with the validated value (1.0 for a refused one)."""
-    try:
-        value, error = _require_positive(name, value), None
-    except (TypeError, ValueError, OverflowError) as exc:
-        value, error = 1.0, exc
-    return value, (np.full(k, error is not None), lambda i: error)
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """``math.log`` of each element of a 1-D array."""
-    return np.array(list(map(math.log, x.tolist())))
+    if not det_wc > 0.0:
+        raise ArithmeticError(f"det(W) = {det_wc} is not positive, so c / det(W) is not finite")
+    det_i = fisher_dual_determinant(det_wc, c)
+    h = gaussian_entropy_from_fim(det_i, n)
+    return det_wc, det_i, h, thermodynamic_entropy(h, k_b), math.log(det_wc)

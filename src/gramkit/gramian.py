@@ -19,10 +19,8 @@ from .errors import NonHurwitzError, QuadratureConvergenceError
 from .lti import (
     OscillatorParams,
     StateSpaceModel,
-    _Check,
     _expm_stack,
     _norm1,
-    _raise_first_failure,
     _readonly,
     _require_nonnegative,
     _require_square,
@@ -487,28 +485,23 @@ def gramian_determinant(g: GramianResult) -> float:
         if det and abs(det) < sys.float_info.min:
             raise ArithmeticError(f"Gramian determinant underflows (entries {g.matrix.tolist()})")
         return det
-    det, checks = _cofactor_determinant(g.matrix[None])
-    _raise_first_failure(checks)
-    return float(det[0])
+    return _cofactor_determinant(g.matrix.tolist())
 
 
-def _cofactor_determinant(W: np.ndarray) -> tuple[np.ndarray, list[_Check]]:
-    """Cofactor det(W) of each matrix of a (k, 2, 2) stack, and its checks.
+def _cofactor_determinant(W: list[list[float]]) -> float:
+    """Cofactor det(W) of a 2x2 matrix given as nested lists of floats.
 
-    The checks, in order, for ``_raise_first_failure``: det(W) overflows
-    (``OverflowError``), and the product of two nonzero diagonal entries
-    falls below the normal double range (``ArithmeticError``).
+    Raises ``OverflowError`` when det(W) overflows, and ``ArithmeticError``
+    when the product of two nonzero diagonal entries falls below the normal
+    double range.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        diagonal = W[:, 0, 0] * W[:, 1, 1]
-        det = diagonal - W[:, 0, 1] * W[:, 1, 0]
-    nonzero = (W[:, 0, 0] != 0.0) & (W[:, 1, 1] != 0.0)
-    return det, [
-        (~np.isfinite(det),
-         lambda i: OverflowError(f"Gramian determinant overflows (entries {W[i].tolist()})")),
-        (nonzero & (np.abs(diagonal) < sys.float_info.min),
-         lambda i: ArithmeticError(f"Gramian determinant underflows (entries {W[i].tolist()})")),
-    ]
+    diagonal = W[0][0] * W[1][1]
+    det = diagonal - W[0][1] * W[1][0]
+    if not math.isfinite(det):
+        raise OverflowError(f"Gramian determinant overflows (entries {W})")
+    if W[0][0] and W[1][1] and abs(diagonal) < sys.float_info.min:
+        raise ArithmeticError(f"Gramian determinant underflows (entries {W})")
+    return det
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,27 +66,6 @@ def _require_finite(name: str, a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         _require_finite_scalar(name, a[~np.isfinite(a)][0])
     return a
-
-
-# A check over the rows of a stack: the mask of rows that fail it, and the
-# error of failing row i.
-_Check = tuple[np.ndarray, Callable[[int], Exception]]
-
-
-def _raise_first_failure(checks: list[_Check]) -> None:
-    """Raise the error of the first row of a stack that fails a check, for
-    the first check that row fails.
-
-    ``checks`` holds, in check order, a boolean mask over the rows and a
-    function giving the error of row i.  Every mask is formed before
-    anything is raised, so an early row that fails a late check wins over a
-    later row that fails an early one.
-    """
-    failed = np.array([mask for mask, _ in checks])
-    rows = failed.any(axis=0)
-    if rows.any():
-        i = int(rows.argmax())
-        raise checks[int(failed[:, i].argmax())][1](i)
 
 
 def _require_square(name: str, M: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from gramkit import cli
 from gramkit.energy import synthesize_min_energy_control
+from gramkit.entropy import info_entropy_report
+from gramkit.gramian import GramianResult, Horizon, gramian_determinant
 from gramkit.lti import OscillatorParams, make_oscillator
 
 ANALYZE_KEYS = {
@@ -424,7 +426,14 @@ REPORT_POOL = {
     "passes once symmetrized": ([[2.0, 0.3], [0.5, 1.5]], None),
     "det(W) overflow": ([[1e200, 0.0], [0.0, 1e200]], "Gramian determinant overflows"),
     "det(W) underflow": ([[1e-200, 0.0], [0.0, 1e-200]], "Gramian determinant underflows"),
+    # a subnormal det(W) = 1e-310 that c = 1e-10 would bring into range
+    "det(W) underflow, nonzero": ([[1e-155, 0.0], [0.0, 1e-155]], "Gramian determinant underflows"),
     "det(W) > 0": ([[1.0, 2.0], [2.0, 1.0]], "det(W) = -3.0 is not positive"),
+    # a cofactor det(W) below 0 where eigvalsh finds lambda_min > 0
+    "det(W) > 0, positive eigenvalues": (
+        [[1.0777284863394088, 0.9054687237465944], [0.9054687237465944, 0.7607422649354411]],
+        "det(W) = -1.1102230246251565e-16 is not positive",
+    ),
     # a normal diagonal product, a subnormal det(W) = 4e-313
     "det(I) range": ([[2e-154, 1.99999e-154], [1.99999e-154, 2e-154]], "det(I) = c / det(W)"),
     "S range": ([[1e-10, 0.0], [0.0, 1e-10]], "S = k_B * H overflows"),
@@ -477,6 +486,29 @@ def test_report_pass_is_its_one_row_calls_in_order(names, c, k_b):
         stacked = report_outcome(REPORT_LEADS[: len(W) + 1], W, c, k_b)
     # repr tells every double apart, the sign of zero included.
     assert repr(stacked) == repr(expected)
+
+
+@pytest.mark.parametrize("name", [name for name in REPORT_POOL if name != "condition number"])
+def test_library_chain_is_the_report_chain(name):
+    # gramian_determinant and info_entropy_report are the one-row chain a
+    # failing report raises through: at every c and k_B they raise the
+    # report's error type and message, or give its numbers bit for bit.
+    W = np.array(REPORT_POOL[name][0])
+    gram = GramianResult(W, Horizon.infinite(), "lyapunov")
+    for c in [1.0, 2, 1e-10, 1e307, 0.0, -1.0, math.nan, math.inf]:
+        for k_b in [1.0, 0.7, 1e307, 0.0, -1.0, math.nan, math.inf]:
+            try:
+                gramian_determinant(gram)
+                chain = info_entropy_report(gram, c=c, k_b=k_b)
+            except (ValueError, ArithmeticError) as exc:
+                library = type(exc), str(exc)
+            else:
+                library = [(chain.det_wc, chain.det_i, chain.differential_entropy_nats,
+                            chain.thermodynamic_entropy, chain.entropy_index)]
+            report = report_outcome(REPORT_LEADS[:1], W[None], c, k_b)
+            if isinstance(report, list):
+                report = [row[8:9] + row[13:] for row in report]
+            assert repr(report) == repr(library), (c, k_b)
 
 
 def test_parser_reuse_matches_fresh_process(monkeypatch):

@@ -77,6 +77,13 @@ class TestGaussianEntropy:
         with pytest.raises(ValueError):
             gaussian_entropy_from_covariance(1.0, 0)
 
+    @pytest.mark.parametrize("entropy", [gaussian_entropy_from_fim, gaussian_entropy_from_covariance])
+    def test_rejects_a_fractional_dimension(self, entropy):
+        # n = 2.7 is refused, not truncated to 2.
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.7$"):
+            entropy(1.0, 2.7)
+        assert entropy(1.0, 2.0) == entropy(1.0, 2)
+
 
 class TestShannonEntropy:
     def test_reference_values(self):

@@ -7,6 +7,8 @@ from gramkit.energy import ControlProfile, min_control_energy, synthesize_min_en
 from gramkit.entropy import (
     boltzmann_entropy,
     fisher_dual_determinant,
+    gaussian_entropy_from_covariance,
+    gaussian_entropy_from_fim,
     info_entropy_report,
     shannon_entropy,
     thermodynamic_entropy,
@@ -58,6 +60,10 @@ ENTRY_POINTS = [
                  id="k_b-boltzmann_entropy"),
     pytest.param("k_b", lambda v: info_entropy_report(GRAM, k_b=v), 0.0,
                  id="k_b-info_entropy_report"),
+    pytest.param("n", lambda v: gaussian_entropy_from_fim(1.0, v), 0.0,
+                 id="n-gaussian_entropy_from_fim"),
+    pytest.param("n", lambda v: gaussian_entropy_from_covariance(1.0, v), 0.0,
+                 id="n-gaussian_entropy_from_covariance"),
 ]
 
 
