@@ -224,6 +224,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _grid_or_scalar(grid: str | None, scalar: float | None, flag: str) -> list[float]:
+    if grid is not None and scalar is not None:
+        raise ValueError(f"give either --{flag}-grid or --{flag}, not both")
     if grid is not None:
         return _parse_grid(grid, f"{flag}-grid")
     if scalar is None:
@@ -387,8 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     sweep = sub.add_parser("sweep", help="CSV table over parameter grids", allow_abbrev=False)
-    sweep.add_argument("--zeta", type=float, help="fixed damping factor when no zeta grid is given")
-    sweep.add_argument("--omega-n", type=float, help="fixed natural frequency when no omega_n grid is given")
+    sweep.add_argument("--zeta", type=float, help="fixed damping factor, in place of --zeta-grid")
+    sweep.add_argument("--omega-n", type=float, help="fixed natural frequency, in place of --omega-n-grid")
     sweep.add_argument("--zeta-grid", help="comma-separated, strictly increasing zeta values")
     sweep.add_argument("--omega-n-grid", help="comma-separated, strictly increasing omega_n values")
     sweep.add_argument("--T-grid", help="comma-separated, strictly increasing finite horizons")

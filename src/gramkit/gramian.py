@@ -185,12 +185,20 @@ def _finite_horizon_gramians(
       roundoff before squaring them back.  Powers of two change no rounding
       where no entry is subnormal.
 
+    The exponents b, a, d and c and the base step h are per-row
+    bookkeeping.  A single row keeps them in Python numbers, where
+    ``math.frexp`` and ``math.ldexp`` give the bits of their numpy forms and
+    no row order is needed; that spares the k = 1 call, which every
+    ``finite_horizon_gramian`` makes, about 30 numpy calls on one-element
+    arrays.  Everything else is one code path, so each row of a stack is bit
+    for bit its own one-row call, with the same first failing row and
+    message.
+
     Rows are doubled in order of decreasing d, so the rows still doubling
     form a leading slice.  Phi and, per level, Phi^T are contiguous copies,
     so that no product in the loop takes a transposed view; the bits are
     those of the views.
     """
-    T = np.array(horizons, dtype=float)
     k, n, _ = A.shape
     e = _balancing_exponents(A)
     row, col = e[:, :, None], e[:, None, :]
@@ -198,39 +206,56 @@ def _finite_horizon_gramians(
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.ldexp(A, col - row)
         B = np.ldexp(B, -row)
-        # frexp(x) = (m, E) with x = m * 2**E, 1/2 <= m < 1.
-        b = np.frexp(np.abs(B).max(axis=(1, 2)))[1]
-        B = np.ldexp(B, -b[:, None, None])
-        Q = B @ B.swapaxes(1, 2)
-        # ||A_s||_1 = m_A * 2**(E_A + a) from the column sums of 2**-a A_s,
-        # a the exponent of max|A_s|, which cannot overflow.
-        a = np.frexp(np.abs(A).max(axis=(1, 2)))[1]
-        (m_A, E_A), (m_T, E_T) = np.frexp(_norm1(np.ldexp(A, -a[:, None, None]))), np.frexp(T)
-        m, E = np.frexp(m_A * m_T)
-        d = np.where(m == 0.0, 0, np.maximum(E + E_A + a + E_T - 1, 0))
-        h = np.ldexp(T, -d)
-        c = np.frexp(_norm1(Q))[1] + np.frexp(h)[1]
+        # frexp(x) = (m, E) with x = m * 2**E, 1/2 <= m < 1.  ||A_s||_1 =
+        # m_A * 2**(E_A + a) from the column sums of 2**-a A_s, a the
+        # exponent of max|A_s|, which cannot overflow.
+        if k == 1:
+            (T,) = horizons
+            b = math.frexp(np.abs(B).max())[1]
+            B = np.ldexp(B, -b)
+            Q = B @ B.swapaxes(1, 2)
+            a = math.frexp(np.abs(A).max())[1]
+            (m_A, E_A), (m_T, E_T) = math.frexp(_norm1(np.ldexp(A[0], -a))), math.frexp(T)
+            m, E = math.frexp(m_A * m_T)
+            d = 0 if m == 0.0 else max(E + E_A + a + E_T - 1, 0)
+            h = math.ldexp(T, -d)
+            c = math.frexp(_norm1(Q[0]))[1] + math.frexp(h)[1]
+            # Indexing by ... leaves the one row where it is.
+            order = unsort = ...
+            levels = [1] * d
+        else:
+            T = np.array(horizons, dtype=float)
+            b = np.frexp(np.abs(B).max(axis=(1, 2)))[1]
+            B = np.ldexp(B, -b[:, None, None])
+            Q = B @ B.swapaxes(1, 2)
+            a = np.frexp(np.abs(A).max(axis=(1, 2)))[1]
+            (m_A, E_A), (m_T, E_T) = np.frexp(_norm1(np.ldexp(A, -a[:, None, None]))), np.frexp(T)
+            m, E = np.frexp(m_A * m_T)
+            d = np.where(m == 0.0, 0, np.maximum(E + E_A + a + E_T - 1, 0))
+            h = np.ldexp(T, -d)
+            c = np.frexp(_norm1(Q))[1] + np.frexp(h)[1]
+            b, c, h = b[:, None, None], c[:, None, None], h[:, None, None]
+            order = (-d).argsort(kind="stable")
+            unsort = order.argsort()
+            levels = (-d[order]).searchsorted(-np.arange(d.max())).tolist()
         M[:, :n, :n] = -A
-        M[:, :n, n:] = np.ldexp(Q, -c[:, None, None])
+        M[:, :n, n:] = np.ldexp(Q, -c)
         M[:, n:, n:] = A.swapaxes(1, 2)
-        M *= h[:, None, None]
-        order = (-d).argsort(kind="stable")
-        M, d = M[order], d[order]
-        F = _expm_stack(M)[0]
+        M *= h
+        F = _expm_stack(M[order])[0]
         phi = F[:, n:, n:].swapaxes(1, 2).copy()
         W = phi @ F[:, :n, n:]
-        for active in (-d).searchsorted(-np.arange(d[0])).tolist():
+        for active in levels:
             w, p = W[:active], phi[:active]
             w += p @ w @ p.swapaxes(1, 2).copy()
             np.matmul(p, p, out=p)
-        W = W[order.argsort()]
-        scaled = np.ldexp(W, row + col + (c + 2 * b)[:, None, None])  # D (2**(c + 2b) W') D
+        W = W[unsort]
+        scaled = np.ldexp(W, row + col + (c + 2 * b))  # D (2**(c + 2b) W') D
     kept = np.isfinite(scaled) & ((scaled != 0.0) | (W == 0.0))
-    lost = ~np.logical_and.reduce(kept, axis=(1, 2))
-    if not np.count_nonzero(lost):
+    if kept.all():
         return scaled, None
-    i = int(lost.argmax())
-    return scaled[:i], ArithmeticError(f"the Gramian over [0, {float(T[i])}] leaves the double range")
+    i = int(np.logical_and.reduce(kept, axis=(1, 2)).argmin())
+    return scaled[:i], ArithmeticError(f"the Gramian over [0, {float(horizons[i])}] leaves the double range")
 
 
 def _adaptive_simpson_gramian(A: np.ndarray, B: np.ndarray, T: float) -> np.ndarray:
@@ -307,10 +332,10 @@ def finite_horizon_gramian(
         Horizon in seconds, >= 0.  T = 0 yields the zero matrix.
     method : {"augmented_expm", "quadrature"}
         ``augmented_expm`` integrates through the balanced block-matrix
-        exponential (the k = 1 call of the stacked kernel); ``quadrature``
-        runs adaptive Simpson with absolute per-entry tolerance
-        ``QUADRATURE_TOL``.  The two agree to relative 1e-8 in Frobenius
-        norm.
+        exponential (the one-row form of the stacked kernel, bit for bit
+        that row in any stack); ``quadrature`` runs adaptive Simpson with
+        absolute per-entry tolerance ``QUADRATURE_TOL``.  The two agree to
+        relative 1e-8 in Frobenius norm.
 
     Raises
     ------

@@ -330,6 +330,14 @@ class TestSweep:
         assert result.returncode == 2
         assert "grid" in result.stderr
 
+    @pytest.mark.parametrize("flag, args", [
+        ("omega-n", ["--zeta", "0.3", "--omega-n-grid", "1", "--omega-n", "7"]),
+        ("zeta", ["--zeta-grid", "0.3", "--zeta", "1", "--omega-n", "7"]),
+    ])
+    def test_rejects_a_grid_and_its_scalar_together(self, flag, args):
+        # Neither flag may win silently over the other.
+        assert run_in_process("sweep", *args) == (2, "", f"error: give either --{flag}-grid or --{flag}, not both\n")
+
     def test_rejects_non_increasing_grid(self):
         result = run_cli("sweep", "--zeta-grid", "1,0.5", "--omega-n-grid", "1")
         assert result.returncode == 2

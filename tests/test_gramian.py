@@ -60,6 +60,47 @@ def random_hurwitz(n, abscissa):
     return StateSpaceModel(A=A, B=B)
 
 
+def powers_of_ten(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda x: 10.0**x)
+
+
+HORIZONS = st.one_of(st.just(0.0), powers_of_ten(-300.0, 300.0))
+ENTRIES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), powers_of_ten(-100.0, 100.0)),
+)
+
+
+def oscillator_row(zeta, omega_n, T):
+    return [[0.0, 1.0], [-omega_n * omega_n, -2.0 * zeta * omega_n]], [[0.0], [1.0]], T
+
+
+@st.composite
+def kernel_stacks(draw):
+    """(A, B, horizons) of 2 to 6 rows: oscillators with zeta = 0 or
+    10**U(-12, 6) and omega_n = 10**U(-150, 150), undamped rows with
+    omega_n T up to 1e20, zero-A rows, or general n <= 5 systems with
+    entries spread over 10**+-100; T = 0 or 10**U(-300, 300)."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    if draw(st.booleans()):
+        omega_n = powers_of_ten(-150.0, 150.0)
+        rows = st.one_of(
+            st.builds(oscillator_row, st.one_of(st.just(0.0), powers_of_ten(-12.0, 6.0)), omega_n, HORIZONS),
+            st.builds(lambda w, wT: oscillator_row(0.0, w, wT / w), omega_n,
+                      st.one_of(st.just(1e20), powers_of_ten(-10.0, 20.0))),
+            st.builds(lambda T: ([[0.0, 0.0], [0.0, 0.0]], [[0.0], [1.0]], T), HORIZONS),
+        )
+    else:
+        n, m = draw(st.integers(min_value=1, max_value=5)), draw(st.integers(min_value=1, max_value=3))
+        rows = st.tuples(
+            st.lists(ENTRIES, min_size=n * n, max_size=n * n).map(lambda a: np.reshape(a, (n, n))),
+            st.lists(ENTRIES, min_size=n * m, max_size=n * m).map(lambda b: np.reshape(b, (n, m))),
+            HORIZONS,
+        )
+    A, B, horizons = zip(*draw(st.lists(rows, min_size=k, max_size=k)))
+    return np.array(A, dtype=float), np.array(B, dtype=float), list(horizons)
+
+
 class TestClosedForm:
     def test_damped_values(self):
         g = oscillator_gramian_closed_form(OscillatorParams(0.5, 2.0))
@@ -349,6 +390,24 @@ class TestFiniteHorizon:
             single = finite_horizon_gramian(model, T)
             assert np.array_equal(gramian_mod._symmetrize(W), single.matrix), (model.A, T)
             assert single.horizon == Horizon.finite(T) and single.method == "augmented_expm"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(stack=kernel_stacks())
+    def test_stack_is_its_one_row_calls(self, stack):
+        # A stack keeps its scale exponents in arrays and a single row in
+        # Python numbers: the rows agree bit for bit up to the first failing
+        # row, which fails with the same message.
+        A, B, horizons = stack
+        stacked, failure = gramian_mod._finite_horizon_gramians(A, B, horizons)
+        singles = []
+        for i, T in enumerate(horizons):
+            W, single_failure = gramian_mod._finite_horizon_gramians(A[i : i + 1], B[i : i + 1], [T])
+            if single_failure is not None:
+                break
+            singles.append(W[0])
+        assert stacked.shape == (len(singles), *A.shape[1:])
+        assert stacked.tobytes() == b"".join(W.tobytes() for W in singles)
+        assert repr(failure) == repr(single_failure)
 
     def test_stacked_failure_is_raised_at_its_row(self):
         # Rows before an out-of-range row are still produced.

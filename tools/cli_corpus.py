@@ -89,11 +89,14 @@ COARSE_TRANSFERS = [
     ["--zeta", "0.05", "--omega-n", "8", "--T", "400"],
 ]
 
-# Lists refused as a whole: a nan does not hide a decrease, and no item is empty.
+# Lists refused as a whole: a nan does not hide a decrease, no item is empty,
+# and a grid is not given together with its scalar.
 LIST_REFUSALS = [
     ["sweep", "--zeta-grid", "2,nan,1", "--omega-n", "1"],
     ["sweep", "--zeta-grid", "0.5,,1", "--omega-n", "1"],
     ["sweep", "--zeta", "0.5", "--omega-n", "1", "--T-grid", "1,2,"],
+    ["sweep", "--zeta", "0.3", "--omega-n-grid", "1", "--omega-n", "7"],
+    ["sweep", "--zeta-grid", "0.3", "--zeta", "1", "--omega-n", "7"],
     ["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", "1,,0", "--out", OUT],
 ]
 
