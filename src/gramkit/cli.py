@@ -24,6 +24,7 @@ from .entropy import LN_2PI_E, _entropy_chain, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
 from .gramian import (
     GramianResult,
+    Horizon,
     _closed_form,
     _cofactor_determinant,
     _condition_number,
@@ -33,7 +34,7 @@ from .gramian import (
     finite_horizon_gramian,
     oscillator_gramian_closed_form,
 )
-from .lti import OscillatorParams, StateSpaceModel, make_oscillator
+from .lti import OscillatorParams, StateSpaceModel, classify_regime, make_oscillator
 from .lti import _oscillator_entries, _require_finite, _require_positive
 
 SCHEMA_VERSION = 1
@@ -63,9 +64,10 @@ CSV_COLUMNS = [
 ]
 
 # One CSV row: every number at full round-trip precision, locale-independent.
-# horizon_seconds comes as text, already formatted by "%.17g", since it is
-# empty for an infinite horizon.
-CSV_ROW = ",".join(["%.17g", "%.17g", "%s", "%s", "%s"] + ["%.17g"] * 12)
+# The five lead cells come as text: zeta, omega_n and horizon_seconds are
+# formatted by "%.17g" once per grid value (horizon_seconds is empty for an
+# infinite horizon), not once per row.
+CSV_ROW = ",".join(["%s"] * 5 + ["%.17g"] * 12)
 
 
 def _parse_numbers(text: str, name: str) -> list[float]:
@@ -101,8 +103,8 @@ def _params_from_args(args: argparse.Namespace) -> OscillatorParams:
 def _report_rows(leads: list, W: np.ndarray, c: float, k_b: float) -> list[tuple]:
     """The CSV cells of each report row, from one array pass over its Gramians.
 
-    ``leads`` holds the first five cells of each row, (zeta, omega_n,
-    regime, horizon kind, formatted horizon seconds), and W the (k, 2, 2)
+    ``leads`` holds the first five cells of each row as text, (zeta,
+    omega_n, regime, horizon kind, horizon seconds), and W the (k, 2, 2)
     Gramians, symmetrized here as ``GramianResult`` does; leads past the
     last Gramian are not reported.  The pass gives the numbers, the chain
     from the reported Gramian's determinant and both logs by ``math.log``,
@@ -148,14 +150,15 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def _analysis_record(
-    model: StateSpaceModel, gram: GramianResult, row: tuple, c: float, k_b: float
+    params: OscillatorParams, model: StateSpaceModel, gram: GramianResult, row: tuple,
+    c: float, k_b: float,
 ) -> dict:
     """One analysis result, its report row, as a flat dict."""
     cells = dict(zip(CSV_COLUMNS, row))
     return {
         "schema_version": SCHEMA_VERSION,
-        "zeta": cells["zeta"],
-        "omega_n": cells["omega_n"],
+        "zeta": params.zeta,
+        "omega_n": params.omega_n,
         "regime": cells["regime"],
         "a_matrix": model.A.tolist(),
         "b_matrix": model.B.tolist(),
@@ -212,12 +215,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
     seconds = "" if horizon_seconds is None else "%.17g" % horizon_seconds
-    lead = (params.zeta, params.omega_n, params.regime.value, gram.horizon.kind, seconds)
+    lead = ("%.17g" % params.zeta, "%.17g" % params.omega_n, params.regime.value,
+            gram.horizon.kind, seconds)
     row = _report_rows([lead], gram.matrix[None], args.duality_c, args.kb)[0]
     if args.format == "csv":
         text = ",".join(CSV_COLUMNS) + "\n" + CSV_ROW % row
     else:
-        record = _analysis_record(model, gram, row, args.duality_c, args.kb)
+        record = _analysis_record(params, model, gram, row, args.duality_c, args.kb)
         text = json.dumps(record, indent=2) if args.format == "json" else _record_to_text(record)
     _emit(text, args.out)
     return 0
@@ -233,6 +237,36 @@ def _grid_or_scalar(grid: str | None, scalar: float | None, flag: str) -> list[f
     return [scalar]
 
 
+def _accepted(check, values: list[float]) -> list:
+    """``check(value)`` of each value before the first one the library's check refuses."""
+    results = []
+    try:
+        for value in values:
+            results.append(check(value))
+    except ValueError:
+        pass
+    return results
+
+
+def _cube(x: float) -> float:
+    """``x ** 3`` as ``_closed_form`` forms it, inf where Python's pow overflows."""
+    try:
+        return x ** 3
+    except OverflowError:
+        return math.inf
+
+
+def _refuse_point(zeta: float, omega_n: float, closed_form: bool) -> None:
+    """Raise the library's refusal of a sweep point through the one-point chain."""
+    params = OscillatorParams(zeta=zeta, omega_n=omega_n)
+    _oscillator_entries(params.zeta, params.omega_n)
+    if closed_form:
+        _closed_form(params)
+    raise AssertionError(
+        f"the sweep refused zeta={zeta}, omega_n={omega_n}, which the one-point chain accepts"
+    )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     grids_given = args.zeta_grid is not None or args.omega_n_grid is not None or args.T_grid is not None
     if not grids_given:
@@ -246,53 +280,75 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for j, T in enumerate(horizons):
                 _require_positive("T", T)
         except ValueError as exc:
+            # Only the first point is reached.  It meets a refused T as
+            # analyze does: the first T after its zeta and omega_n, a later
+            # one after the rows before it.
             horizons, refused = horizons[:j], exc
+            zetas, omegas = zetas[:1], omegas[:1]
+            if not horizons:
+                OscillatorParams(zeta=zetas[0], omega_n=omegas[0])
+                raise
 
-    # Deterministic order: zeta outer, omega_n middle, T inner.  Points are
-    # validated, and their oscillator entries and closed forms checked, in
-    # table order up to the first one that fails.  The first point meets a
-    # refused T as analyze does: the first T after its zeta and omega_n, a
-    # later one after the rows before it.  The finite rows of the points
-    # before a failure share one stacked kernel call and every row one report
-    # pass, which raises at the first row that fails; only then is the point
-    # or kernel failure raised, so the first failure in table order wins.
-    points, entries, closed, failure = [], [], [], None
-    try:
-        for zeta in zetas:
-            for omega_n in omegas:
-                params = OscillatorParams(zeta=zeta, omega_n=omega_n)
-                if refused is not None and not horizons:
-                    raise refused
-                entry = _oscillator_entries(params.zeta, params.omega_n)
-                if horizons is None:
-                    closed.append(_closed_form(params))
-                else:
-                    entries.append(entry)
-                points.append((params.zeta, params.omega_n, params.regime.value))
-                if refused is not None:
-                    raise refused
-    except (ValueError, ArithmeticError) as exc:
-        failure = exc
-    if not points:
-        raise failure
+    # Deterministic order: zeta outer, omega_n middle, T inner.  One array
+    # pass over the (zeta, omega_n) points: each grid value is decided once
+    # by the library's validators, and the regime classified once per zeta;
+    # the oscillator entries and, without a T grid, the closed-form
+    # diagonals take the operand order of _oscillator_entries and
+    # _closed_form, so every bit is theirs.  The points before the first one
+    # the mask refuses in table order are reported: their finite rows share
+    # one stacked kernel call and every row one report pass, which raises at
+    # the first row that fails; only then is a kernel failure raised, and
+    # then the refused point, through the one-point chain, so the first
+    # failure in table order wins.
+    regimes = _accepted(classify_regime, zetas)
+    omegas_accepted = len(_accepted(functools.partial(_require_positive, "omega_n"), omegas))
+    z, w = np.array(zetas)[:, None], np.array(omegas)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        a10 = np.broadcast_to(-w * w, (len(zetas), len(omegas)))
+        a11 = -2.0 * z * w
+        valid = ((np.arange(len(zetas)) < len(regimes))[:, None]
+                 & (np.arange(len(omegas)) < omegas_accepted) & np.isfinite(a10) & np.isfinite(a11))
+        if horizons is None:
+            damped = z > 0.0
+            d0 = np.where(damped, 1.0 / (4.0 * z * [_cube(x) for x in omegas]), 1.0 / (w * w))
+            d1 = np.where(damped, 1.0 / (4.0 * z * w), 1.0)
+            valid &= (0.0 < d0) & (d0 < math.inf) & (0.0 < d1) & (d1 < math.inf)
+    valid = valid.ravel()
+    n = valid.size if valid.all() else int(valid.argmin())
+    if n == 0:
+        _refuse_point(zetas[0], omegas[0], horizons is None)
+
+    # zeta and omega_n are formatted, and each regime named, once per grid value.
+    heads = [("%.17g" % zeta, regime.value, zeta) for zeta, regime in zip(zetas, regimes)]
+    omega_cells = ["%.17g" % x for x in omegas]
+    points = [(zc, wc, regime, zeta) for zc, regime, zeta in heads for wc in omega_cells][:n]
+    kernel_failure = None
     if horizons is None:
-        leads = [point + (horizon.kind, "") for point, (_, horizon) in zip(points, closed)]
-        W = np.zeros((len(points), 2, 2))
-        W[:, [0, 1], [0, 1]] = [diagonal for diagonal, _ in closed]
+        # Each point's horizon as _closed_form tags it.
+        tags = Horizon.adopted_undamped().kind, Horizon.infinite().kind
+        leads = [(zc, wc, regime, tags[zeta > 0.0], "") for zc, wc, regime, zeta in points]
+        W = np.zeros((n, 2, 2))
+        W[:, 0, 0], W[:, 1, 1] = d0.ravel()[:n], d1.ravel()[:n]
     else:
         seconds = ["%.17g" % T for T in horizons]
-        leads = [point + ("finite", text) for point in points for text in seconds]
+        leads = [(zc, wc, regime, "finite", text)
+                 for zc, wc, regime, _ in points for text in seconds]
         # Row i is point i // len(horizons): A = [[0, 1], [a10, a11]], B = [[0], [1]].
         A = np.zeros((len(leads), 2, 2))
         A[:, 0, 1] = 1.0
-        A[:, 1] = np.repeat(entries, len(horizons), axis=0)
+        A[:, 1, 0] = np.repeat(a10.ravel()[:n], len(horizons))
+        A[:, 1, 1] = np.repeat(a11.ravel()[:n], len(horizons))
         B = np.broadcast_to([[0.0], [1.0]], (len(leads), 2, 1))
-        W, kernel_failure = _finite_horizon_gramians(A, B, horizons * len(points))
-        failure = failure if kernel_failure is None else kernel_failure
+        W, kernel_failure = _finite_horizon_gramians(A, B, horizons * n)
     lines = [",".join(CSV_COLUMNS)]
     lines += [CSV_ROW % row for row in _report_rows(leads, W, args.duality_c, args.kb)]
-    if failure is not None:
-        raise failure
+    if kernel_failure is not None:
+        raise kernel_failure
+    if n < valid.size:
+        i, j = divmod(n, len(omegas))
+        _refuse_point(zetas[i], omegas[j], horizons is None)
+    if refused is not None:
+        raise refused
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -275,8 +275,11 @@ def expm_scaling_squaring(M: np.ndarray) -> ExpmResult:
     The k = 1 call of the stacked kernel that also evaluates
     ``matrix_exponential`` on general matrices and the balanced augmented-expm
     Gramian, which ``sweep`` runs on every finite-horizon row in one pass.
-    Self-contained on purpose: this is the reference path the regime closed
-    forms are checked against.
+    Nothing in the library calls it: it is that kernel's public one-matrix
+    form, with its squaring count.  It is not an independent reference for
+    the regime closed forms: it shares its Padé kernel with
+    ``matrix_exponential``, and the tests check both against scipy's
+    ``expm`` (and against mpmath near zeta = 1).
 
     Parameters
     ----------

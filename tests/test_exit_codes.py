@@ -152,24 +152,42 @@ def test_non_finite_target_is_refused_by_the_library(tmp_path, omega_n, xf, valu
     assert not out.exists()
 
 
-@pytest.mark.parametrize("T_grid", [None, "1,2"])
+# (sweep grids, the failing point as analyze flags, message, T grids the case
+# runs with): each case runs with no T grid (infinite horizon) and, unless its
+# failure is the closed form's, with a finite T grid.
+SWEEP_FAILURES = [
+    # omega_n^2 overflows at point 2
+    (["--zeta-grid=0.5", "--omega-n-grid=1,1e160"], ["--zeta=0.5", "--omega-n=1e160"],
+     "oscillator matrix overflows at zeta=0.5, omega_n=1e+160", [None, "1,2"]),
+    # 2 zeta omega_n overflows at point 2
+    (["--zeta-grid=0.5,1e300", "--omega-n-grid=1e10"], ["--zeta=1e300", "--omega-n=1e10"],
+     "oscillator matrix overflows at zeta=1e+300, omega_n=10000000000.0", [None, "1,2"]),
+    # zeta is refused at point 1
+    (["--zeta-grid=-1,0.5", "--omega-n=1"], ["--zeta=-1", "--omega-n=1"],
+     "zeta must be >= 0, got -1.0", [None, "1,2"]),
+    # grid values are refused by the library's validators, as analyze refuses them
+    (["--zeta-grid=nan", "--omega-n=1"], ["--zeta=nan", "--omega-n=1"],
+     "zeta must be finite, got nan", [None, "1,2"]),
+    (["--zeta=0.5", "--omega-n-grid=nan"], ["--zeta=0.5", "--omega-n=nan"],
+     "omega_n must be finite, got nan", [None, "1,2"]),
+    # a refused zeta past the first point: at point 3, after the rows of zeta 0.5
+    (["--zeta-grid=0.5,nan", "--omega-n-grid=1,2"], ["--zeta=nan", "--omega-n=1"],
+     "zeta must be finite, got nan", [None, "1,2"]),
+    # 4 zeta omega_n^3 overflows and the diagonal entry rounds to 0 at point 2
+    (["--zeta-grid=1,1e200", "--omega-n-grid=1e50"], ["--zeta=1e200", "--omega-n=1e50"],
+     "closed-form Gramian overflows at zeta=1e+200, omega_n=1e+50", [None]),
+    # omega_n^3 overflows at point 2
+    (["--zeta-grid=0.5", "--omega-n-grid=1,1e103"], ["--zeta=0.5", "--omega-n=1e103"],
+     "closed-form Gramian overflows at zeta=0.5, omega_n=1e+103", [None]),
+]
+
+
 @pytest.mark.parametrize(
-    "grids, point, message",
+    "grids, point, message, T_grid",
     [
-        # omega_n^2 overflows at point 2
-        (["--zeta-grid=0.5", "--omega-n-grid=1,1e160"], ["--zeta=0.5", "--omega-n=1e160"],
-         "oscillator matrix overflows at zeta=0.5, omega_n=1e+160"),
-        # 2 zeta omega_n overflows at point 2
-        (["--zeta-grid=0.5,1e300", "--omega-n-grid=1e10"], ["--zeta=1e300", "--omega-n=1e10"],
-         "oscillator matrix overflows at zeta=1e+300, omega_n=10000000000.0"),
-        # zeta is refused at point 1
-        (["--zeta-grid=-1,0.5", "--omega-n=1"], ["--zeta=-1", "--omega-n=1"],
-         "zeta must be >= 0, got -1.0"),
-        # grid values are refused by the library's validators, as analyze refuses them
-        (["--zeta-grid=nan", "--omega-n=1"], ["--zeta=nan", "--omega-n=1"],
-         "zeta must be finite, got nan"),
-        (["--zeta=0.5", "--omega-n-grid=nan"], ["--zeta=0.5", "--omega-n=nan"],
-         "omega_n must be finite, got nan"),
+        pytest.param(grids, point, message, T_grid, id=f"grids{i}-point{i}-{message}-{T_grid}")
+        for i, (grids, point, message, T_grids) in enumerate(SWEEP_FAILURES)
+        for T_grid in T_grids
     ],
 )
 def test_sweep_fails_as_analyze_at_its_failing_point(grids, point, message, T_grid):
@@ -183,6 +201,18 @@ def test_sweep_fails_as_analyze_at_its_failing_point(grids, point, message, T_gr
     code, out, err = expected
     assert code in (2, 3) and out == "" and len(err.splitlines()) == 1 and message in err
     assert result == expected
+
+
+@pytest.mark.parametrize("refused", [1.0, 2.0])
+def test_a_point_the_array_pass_alone_refuses_fails_loudly(monkeypatch, refused):
+    # Were the sweep's mask to refuse a point the one-point chain accepts, at
+    # the first point or after rows, no row is printed and no refusal is
+    # reported as the library's.
+    monkeypatch.setattr(cli, "_cube", lambda x: math.inf if x == refused else x**3)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(AssertionError, match="one-point chain accepts"):
+        cli.main(["sweep", "--zeta-grid=0.5", "--omega-n-grid=1,2"])
+    assert out.getvalue() == ""
 
 
 @contract

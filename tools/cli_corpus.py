@@ -51,8 +51,12 @@ FAILING_SWEEPS = [
     # row 0 fails the duality constant; row 1 (||A|| T far above the double
     # range) would fail only at its det(W) = 2.5e-401 underflow
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e100", "--T-grid", "1e300", "--duality-c", "0"],
-    # closed form
+    # closed form: omega_n^3 overflows
     ["--zeta-grid", "0.5", "--omega-n-grid", "1,1e103"],
+    # closed form: 4 zeta omega_n^3 overflows at point 2
+    ["--zeta-grid", "1,1e200", "--omega-n-grid", "1e50"],
+    # point 3 refuses its zeta, after the rows of zeta 0.5
+    ["--zeta-grid", "0.5,nan", "--omega-n-grid", "1,2"],
     # det(W) overflow
     ["--zeta-grid", "0,0.5", "--omega-n-grid", "1e-80"],
     # det(W) underflow
