@@ -24,8 +24,8 @@ from .entropy import LN_2PI_E, _entropy_chain, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
 from .gramian import (
     GramianResult,
-    Horizon,
     _closed_form,
+    _closed_form_horizon,
     _cofactor_determinant,
     _condition_number,
     _finite_horizon_gramians,
@@ -237,36 +237,6 @@ def _grid_or_scalar(grid: str | None, scalar: float | None, flag: str) -> list[f
     return [scalar]
 
 
-def _accepted(check, values: list[float]) -> list:
-    """``check(value)`` of each value before the first one the library's check refuses."""
-    results = []
-    try:
-        for value in values:
-            results.append(check(value))
-    except ValueError:
-        pass
-    return results
-
-
-def _cube(x: float) -> float:
-    """``x ** 3`` as ``_closed_form`` forms it, inf where Python's pow overflows."""
-    try:
-        return x ** 3
-    except OverflowError:
-        return math.inf
-
-
-def _refuse_point(zeta: float, omega_n: float, closed_form: bool) -> None:
-    """Raise the library's refusal of a sweep point through the one-point chain."""
-    params = OscillatorParams(zeta=zeta, omega_n=omega_n)
-    _oscillator_entries(params.zeta, params.omega_n)
-    if closed_form:
-        _closed_form(params)
-    raise AssertionError(
-        f"the sweep refused zeta={zeta}, omega_n={omega_n}, which the one-point chain accepts"
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     grids_given = args.zeta_grid is not None or args.omega_n_grid is not None or args.T_grid is not None
     if not grids_given:
@@ -289,64 +259,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 OscillatorParams(zeta=zetas[0], omega_n=omegas[0])
                 raise
 
-    # Deterministic order: zeta outer, omega_n middle, T inner.  One array
-    # pass over the (zeta, omega_n) points: each grid value is decided once
-    # by the library's validators, and the regime classified once per zeta;
-    # the oscillator entries and, without a T grid, the closed-form
-    # diagonals take the operand order of _oscillator_entries and
-    # _closed_form, so every bit is theirs.  The points before the first one
-    # the mask refuses in table order are reported: their finite rows share
-    # one stacked kernel call and every row one report pass, which raises at
-    # the first row that fails; only then is a kernel failure raised, and
-    # then the refused point, through the one-point chain, so the first
-    # failure in table order wins.
-    regimes = _accepted(classify_regime, zetas)
-    omegas_accepted = len(_accepted(functools.partial(_require_positive, "omega_n"), omegas))
-    z, w = np.array(zetas)[:, None], np.array(omegas)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        a10 = np.broadcast_to(-w * w, (len(zetas), len(omegas)))
-        a11 = -2.0 * z * w
-        valid = ((np.arange(len(zetas)) < len(regimes))[:, None]
-                 & (np.arange(len(omegas)) < omegas_accepted) & np.isfinite(a10) & np.isfinite(a11))
-        if horizons is None:
-            damped = z > 0.0
-            d0 = np.where(damped, 1.0 / (4.0 * z * [_cube(x) for x in omegas]), 1.0 / (w * w))
-            d1 = np.where(damped, 1.0 / (4.0 * z * w), 1.0)
-            valid &= (0.0 < d0) & (d0 < math.inf) & (0.0 < d1) & (d1 < math.inf)
-    valid = valid.ravel()
-    n = valid.size if valid.all() else int(valid.argmin())
-    if n == 0:
-        _refuse_point(zetas[0], omegas[0], horizons is None)
+    # Deterministic order: zeta outer, omega_n middle, T inner.  Each point
+    # runs the library's one-point chain, in table order up to the first one
+    # that fails.  Each zeta and omega_n value is decided by the library's
+    # validator and formatted once, and each zeta's regime and horizon are
+    # named once; each point takes its oscillator entries and, without a T
+    # grid, its closed-form diagonal.  The finite rows of the points before a
+    # failure share one stacked kernel call and every row one report pass,
+    # which raises at the first row that fails; only then is a kernel failure
+    # raised, and then the point's, so the first failure in table order wins.
+    omega_cells, omega_refusal = [], None
+    try:
+        for omega_n in omegas:
+            omega_cells.append("%.17g" % _require_positive("omega_n", omega_n))
+    except ValueError as exc:
+        omega_refusal = exc
+    points, values, failure = [], [], None
+    try:
+        for zeta in zetas:
+            regime = classify_regime(zeta).value
+            kind = "finite" if horizons is not None else _closed_form_horizon(zeta).kind
+            zeta_cell = "%.17g" % zeta
+            for omega_n, omega_cell in zip(omegas, omega_cells):
+                entries = _oscillator_entries(zeta, omega_n)
+                values.append(entries if horizons is not None else _closed_form(zeta, omega_n))
+                points.append((zeta_cell, omega_cell, regime, kind))
+            if omega_refusal is not None:
+                raise omega_refusal
+    except (ValueError, ArithmeticError) as exc:
+        failure = exc
+    if not points:
+        raise failure
 
-    # zeta and omega_n are formatted, and each regime named, once per grid value.
-    heads = [("%.17g" % zeta, regime.value, zeta) for zeta, regime in zip(zetas, regimes)]
-    omega_cells = ["%.17g" % x for x in omegas]
-    points = [(zc, wc, regime, zeta) for zc, regime, zeta in heads for wc in omega_cells][:n]
     kernel_failure = None
     if horizons is None:
-        # Each point's horizon as _closed_form tags it.
-        tags = Horizon.adopted_undamped().kind, Horizon.infinite().kind
-        leads = [(zc, wc, regime, tags[zeta > 0.0], "") for zc, wc, regime, zeta in points]
-        W = np.zeros((n, 2, 2))
-        W[:, 0, 0], W[:, 1, 1] = d0.ravel()[:n], d1.ravel()[:n]
+        leads = [point + ("",) for point in points]
+        W = np.zeros((len(points), 2, 2))
+        W[:, (0, 1), (0, 1)] = values
     else:
         seconds = ["%.17g" % T for T in horizons]
-        leads = [(zc, wc, regime, "finite", text)
-                 for zc, wc, regime, _ in points for text in seconds]
+        leads = [point + (text,) for point in points for text in seconds]
         # Row i is point i // len(horizons): A = [[0, 1], [a10, a11]], B = [[0], [1]].
         A = np.zeros((len(leads), 2, 2))
         A[:, 0, 1] = 1.0
-        A[:, 1, 0] = np.repeat(a10.ravel()[:n], len(horizons))
-        A[:, 1, 1] = np.repeat(a11.ravel()[:n], len(horizons))
+        A[:, 1] = np.repeat(values, len(horizons), axis=0)
         B = np.broadcast_to([[0.0], [1.0]], (len(leads), 2, 1))
-        W, kernel_failure = _finite_horizon_gramians(A, B, horizons * n)
+        W, kernel_failure = _finite_horizon_gramians(A, B, horizons * len(points))
     lines = [",".join(CSV_COLUMNS)]
     lines += [CSV_ROW % row for row in _report_rows(leads, W, args.duality_c, args.kb)]
     if kernel_failure is not None:
         raise kernel_failure
-    if n < valid.size:
-        i, j = divmod(n, len(omegas))
-        _refuse_point(zetas[i], omegas[j], horizons is None)
+    if failure is not None:
+        raise failure
     if refused is not None:
         raise refused
     _emit("\n".join(lines), args.out)

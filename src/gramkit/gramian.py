@@ -460,24 +460,40 @@ def oscillator_gramian_closed_form(params: OscillatorParams) -> GramianResult:
     ``paper_adopted_undamped`` horizon tag so callers opt in knowingly.
     Raises ``OverflowError`` when an entry is not a positive double.
     """
-    diagonal, horizon = _closed_form(params)
-    return GramianResult(matrix=np.diag(diagonal), horizon=horizon, method="closed_form")
+    diagonal = _closed_form(params.zeta, params.omega_n)
+    return GramianResult(matrix=np.diag(diagonal), horizon=_closed_form_horizon(params.zeta),
+                         method="closed_form")
 
 
-def _closed_form(params: OscillatorParams) -> tuple[list[float], Horizon]:
-    """Diagonal and horizon of ``oscillator_gramian_closed_form``."""
-    wn, z = params.omega_n, params.zeta
-    horizon = Horizon.infinite() if z > 0.0 else Horizon.adopted_undamped()
+def _closed_form_horizon(zeta: float) -> Horizon:
+    """The horizon tag of ``oscillator_gramian_closed_form`` at damping zeta."""
+    return Horizon.infinite() if zeta > 0.0 else Horizon.adopted_undamped()
+
+
+def _closed_form(z: float, wn: float) -> list[float]:
+    """Diagonal of ``oscillator_gramian_closed_form`` at zeta = z, omega_n = wn.
+
+    Where omega_n^3 overflows, or 4 zeta omega_n^3 underflows to 0, the
+    damped entry 1/(4 zeta omega_n^3) is formed from the mantissas of zeta
+    and omega_n and scaled by their powers of two once, so it is refused
+    only when it is itself out of range; every other input keeps the
+    formula as written.
+    """
     try:
         if z > 0.0:
-            diagonal = [1.0 / (4.0 * z * wn ** 3), 1.0 / (4.0 * z * wn)]
+            try:
+                d0 = 1.0 / (4.0 * z * wn ** 3)
+            except ArithmeticError:
+                (mz, ez), (m, e) = math.frexp(z), math.frexp(wn)
+                d0 = math.ldexp(1.0 / (4.0 * mz * m ** 3), -ez - 3 * e)
+            diagonal = [d0, 1.0 / (4.0 * z * wn)]
         else:
             diagonal = [1.0 / (wn * wn), 1.0]
-    except ArithmeticError:  # wn ** 3 overflows, or a denominator underflows to 0
+    except ArithmeticError:  # a denominator underflows to 0, or the scaled entry overflows
         diagonal = [math.inf]
     if not all(0.0 < d < math.inf for d in diagonal):
         raise OverflowError(f"closed-form Gramian overflows at zeta={z}, omega_n={wn}")
-    return diagonal, horizon
+    return diagonal
 
 
 def gramian_determinant(g: GramianResult) -> float:

@@ -10,10 +10,14 @@ sweep over the same grid, and ends one of two ways:
 - exit 0, each printed number within the bound below of its oracle value;
 - exit 3, where the oracle's own value of the quantity the message names is
   not a normal double.
+
+``synthesize``'s predicted energy x_f^T W_T^-1 x_f is checked as well, with
+W_T = W_inf - Phi(T) W_inf Phi(T)^T in mpmath at adaptive precision.
 """
 
 import contextlib
 import io
+import json
 import sys
 
 import mpmath
@@ -52,6 +56,26 @@ _rng = np.random.default_rng(2027)
 ZETAS = [0.0] + sorted((10.0 ** _rng.uniform(-12.0, 6.0, 9)).tolist())
 OMEGAS = sorted((10.0 ** _rng.uniform(-6.0, 6.0, 40)).tolist())
 EDGE_ZETAS = [0.0, 1e-320, 1.0, 1e300]
+# Forty draws past the omega_n^3 overflow at 5.6e102: omega_n from
+# 10^U(102, 154.1), below the omega_n^2 overflow at 1.3e154, and zeta from
+# 10^U(-300, 140 - 2 log10 omega_n), which keeps every printed number normal.
+_far = np.random.default_rng(2028)
+FAR_POINTS = [(10.0 ** _far.uniform(-300.0, 140.0 - 2.0 * x), 10.0**x)
+              for x in _far.uniform(102.0, 154.1, 40).tolist()]
+# Points whose 1/(4 zeta omega_n^3) is a normal double although omega_n^3
+# overflows (the first two; zeta is subnormal in the second) or 4 zeta
+# omega_n^3 underflows to 0 (the third).
+SCALED_CUBE_POINTS = [(1e-300, 1e103), (1e-310, 1e103), (1e100, 1e-110)]
+
+# synthesize's predicted energy x_f^T W_T^-1 x_f at zeta = 0.5, omega_n = 1,
+# where cond(W_T) reaches about 1e13 at T = 1e-6: worst relative error over
+# the horizons and targets below, in units of U, 11.0 on OpenBLAS
+# ``Core: SkylakeX`` and 10.9 on Haswell (both at T = 1e-6), 20.7 on
+# SandyBridge (T = 1e-4).  The bound is the worst with about half as much
+# again for room.
+ENERGY_BOUND = 30.0
+HORIZONS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+TARGETS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (0.3, 2.0)]
 
 
 def run(argv):
@@ -85,6 +109,26 @@ def checked_oracle(zeta: float, omega_n: float) -> dict:
         for name, value in ref.items():
             assert abs(value - fine[name]) <= mpmath.mpf(10) ** -35 * max(1, abs(fine[name])), name
     return ref
+
+
+def energy_oracle(zeta: float, omega_n: float, T: float, x_f: tuple) -> mpmath.mpf:
+    """x_f^T W_T^-1 x_f with W_T = W_inf - Phi(T) W_inf Phi(T)^T, whose
+    difference cancels about log10(1 / (omega_n T)^3) digits: the precision
+    doubles from 30 digits until it and its double agree to 1e-25."""
+    def at(dps):
+        with mpmath.workdps(dps):
+            z, w = mpmath.mpf(zeta), mpmath.mpf(omega_n)
+            W_inf = mpmath.diag([1 / (4 * z * w**3), 1 / (4 * z * w)])
+            Phi = mpmath.expm(mpmath.matrix([[0, 1], [-w * w, -2 * z * w]]) * mpmath.mpf(T))
+            x = mpmath.matrix(list(x_f))
+            return (x.T * mpmath.inverse(W_inf - Phi * W_inf * Phi.T) * x)[0]
+
+    dps = 30
+    while True:
+        coarse, fine = at(dps), at(2 * dps)
+        if abs(coarse - fine) <= mpmath.mpf(10) ** -25 * abs(fine):
+            return fine
+        dps *= 2
 
 
 def normal(value) -> bool:
@@ -152,3 +196,25 @@ def test_a_sweep_over_the_edges_ends_as_analyze_at_its_first_refused_point():
     first = next(end for end in ends if end[0] != 0)
     code, out, err = sweep(EDGE_ZETAS, omegas)
     assert (code, out, err) == (first[0], "", first[2])
+
+
+def test_points_past_the_cube_range_print_the_oracle_numbers():
+    for z, w in FAR_POINTS + SCALED_CUBE_POINTS:
+        end = analyze(z, w)
+        assert end[0] == 0, (z, w, end)
+        check_point(z, w, *end)
+        code, out, err = sweep([z], [w])
+        assert (code, err) == (0, "") and out.splitlines()[1] == end[1]
+
+
+def test_synthesize_predicts_the_oracle_energy(tmp_path):
+    for T in HORIZONS:
+        for x_f in TARGETS:
+            code, out, err = run(["synthesize", "--zeta=0.5", "--omega-n=1", f"--T={T!r}",
+                                  f"--xf={x_f[0]!r},{x_f[1]!r}", "--steps=100",
+                                  f"--out={tmp_path / 'profile.csv'}"])
+            assert (code, err) == (0, ""), (T, x_f, err)
+            ref = energy_oracle(0.5, 1.0, T, x_f)
+            with mpmath.workdps(40):
+                found = float(abs(mpmath.mpf(json.loads(out)["predicted_energy"]) - ref) / ref / U)
+            assert found <= ENERGY_BOUND, (T, x_f, found)

@@ -40,6 +40,8 @@ TRIPLES = [
 ]
 # Points whose trace overflows along with det(W).
 RANGE_POINTS = [["--zeta", "2e-309", "--omega-n", "1"]]
+# A point whose omega_n^3 overflows while its Gramian is in range.
+SCALED_CUBE_POINT = ["--zeta", "1e-300", "--omega-n", "1e103"]
 # Sweeps that fail after their first row, each run as is and with --duality-c -1,
 # which makes the first row fail instead.
 FAILING_SWEEPS = [
@@ -125,6 +127,11 @@ def corpus() -> list[list[str]]:
         runs.append(["sweep", *grids, "--duality-c", "-1"])
     runs.append(["sweep", *LARGE_SWEEP])
     runs.append(["sweep", *LARGE_SWEEP, "--out", OUT])
+    runs.append(["analyze", *SCALED_CUBE_POINT])
+    # The first sweep ends at its row 0, whose det(W) overflows; the second
+    # prints both rows.
+    runs.append(["sweep", "--zeta-grid", "1e-300", "--omega-n-grid", "1,1e103"])
+    runs.append(["sweep", "--zeta-grid", "1e-300", "--omega-n-grid", "1e100,1e103"])
     for fmt in ("json", "text"):
         for point in SYNTH_POINTS:
             for steps in STEPS:
