@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGramianError
-from .gramian import GramianResult, finite_horizon_gramian, gramian_spectrum
+from .gramian import SPD_RATIO_FLOOR, GramianResult, finite_horizon_gramian, gramian_spectrum
 from .lti import (
     StateSpaceModel,
     _readonly,
@@ -87,8 +87,9 @@ class EnergyVerificationReport:
 def _energy_solve(g: GramianResult, x_f: np.ndarray) -> tuple[np.ndarray, float]:
     """W^{-1} x_f by Cholesky, and the energy x_f^T W^{-1} x_f.
 
-    Raises SingularGramianError when ``gramian_spectrum`` flags an
-    uncontrollable direction or the factorization fails; no pseudo-inverse
+    Raises SingularGramianError when W is numerically singular (the
+    ``uncontrollable_direction`` flag of ``gramian_spectrum``, lambda_min <=
+    SPD_RATIO_FLOOR * lambda_max) or the factorization fails; no pseudo-inverse
     fallback, since silent regularization would corrupt the energy
     semantics.  A non-finite W^{-1} x_f or energy raises ``OverflowError``;
     ``np.linalg.solve`` ignores the floating-point flags, so both are
@@ -98,8 +99,8 @@ def _energy_solve(g: GramianResult, x_f: np.ndarray) -> tuple[np.ndarray, float]
     if spectrum.uncontrollable_direction:
         eigenvalues = spectrum.eigenvalues
         raise SingularGramianError(
-            f"Gramian is numerically singular (eigenvalues {eigenvalues[0]:.3e} "
-            f".. {eigenvalues[-1]:.3e}); an uncontrollable direction is present"
+            f"Gramian is numerically singular: lambda_min / lambda_max <= {SPD_RATIO_FLOOR:g} "
+            f"(eigenvalues {eigenvalues[0]:.3e} .. {eigenvalues[-1]:.3e})"
         )
     try:
         L = np.linalg.cholesky(g.matrix)

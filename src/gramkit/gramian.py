@@ -458,7 +458,8 @@ def oscillator_gramian_closed_form(params: OscillatorParams) -> GramianResult:
     For zeta = 0 the defining integral diverges; the conventional matrix
     diag(1/omega_n^2, 1) is returned under the distinct
     ``paper_adopted_undamped`` horizon tag so callers opt in knowingly.
-    Raises ``OverflowError`` when an entry is not a positive double.
+    Raises ``OverflowError`` when an entry overflows and ``ArithmeticError``
+    when one underflows to 0.
     """
     diagonal = _closed_form(params.zeta, params.omega_n)
     return GramianResult(matrix=np.diag(diagonal), horizon=_closed_form_horizon(params.zeta),
@@ -473,26 +474,36 @@ def _closed_form_horizon(zeta: float) -> Horizon:
 def _closed_form(z: float, wn: float) -> list[float]:
     """Diagonal of ``oscillator_gramian_closed_form`` at zeta = z, omega_n = wn.
 
-    Where omega_n^3 overflows, or 4 zeta omega_n^3 underflows to 0, the
-    damped entry 1/(4 zeta omega_n^3) is formed from the mantissas of zeta
-    and omega_n and scaled by their powers of two once, so it is refused
-    only when it is itself out of range; every other input keeps the
-    formula as written.
+    Where omega_n^3 overflows, or omega_n^3 or 4 zeta omega_n^3 is below the
+    normal range (a subnormal keeps only some of its digits), the damped
+    entry 1/(4 zeta omega_n^3) is formed from the mantissas of zeta and
+    omega_n and scaled by their powers of two once, so it is refused only
+    when it is itself out of range; every other input keeps the formula as
+    written.  An entry that rounds to 0 raises ``ArithmeticError`` naming an
+    underflow, one that is inf ``OverflowError``.
     """
     try:
         if z > 0.0:
             try:
-                d0 = 1.0 / (4.0 * z * wn ** 3)
-            except ArithmeticError:
+                cube = wn ** 3
+                c = 4.0 * z * cube
+            except OverflowError:
+                cube = c = 0.0  # takes the mantissa path below
+            if min(cube, c) < sys.float_info.min:
                 (mz, ez), (m, e) = math.frexp(z), math.frexp(wn)
                 d0 = math.ldexp(1.0 / (4.0 * mz * m ** 3), -ez - 3 * e)
+            else:
+                d0 = 1.0 / c
             diagonal = [d0, 1.0 / (4.0 * z * wn)]
         else:
             diagonal = [1.0 / (wn * wn), 1.0]
     except ArithmeticError:  # a denominator underflows to 0, or the scaled entry overflows
         diagonal = [math.inf]
-    if not all(0.0 < d < math.inf for d in diagonal):
-        raise OverflowError(f"closed-form Gramian overflows at zeta={z}, omega_n={wn}")
+    for d in diagonal:
+        if not 0.0 < d < math.inf:
+            if d == 0.0:
+                raise ArithmeticError(f"closed-form Gramian underflows at zeta={z}, omega_n={wn}")
+            raise OverflowError(f"closed-form Gramian overflows at zeta={z}, omega_n={wn}")
     return diagonal
 
 

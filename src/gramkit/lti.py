@@ -467,21 +467,39 @@ def simulate(
 
 
 def controllability_rank(model: StateSpaceModel) -> int:
-    """Numerical rank of the controllability matrix [B, AB, ..., A^(n-1)B].
+    """Dimension of the controllable subspace, by the orthogonal staircase
+    reduction (Van Dooren, IEEE TAC 26, 1981).
 
-    Singular values below max(n, m) * machine epsilon * sigma_max count as
-    zero, the usual numerical-rank convention.
+    Each step takes the SVD U S V^T of the current input block and counts the
+    rho singular values above tol: in the basis U the first rho states are
+    reached, and the others are driven by (U^T A U)[rho:, :rho] through
+    (U^T A U)[rho:, rho:], the next step's input block and A.  The steps stop
+    when rho = 0 or the reached states fill the space.
+
+    tol = n^2 * eps * max(||A||_1, ||B||_1), the 1-norm of [A, B].  Every
+    step is an orthogonal similarity, so it rounds on the scale of A and B,
+    not of the block.  A bound of n * eps * max(...) read full rank 6 on a
+    seeded n = 6, m = 1 system of integer entries whose Krylov matrix has
+    sigma_min = 1.7e-17: its last step left sigma = 8.5e-15 against that
+    bound's 2.7e-15.  The n^2 bound gives the Krylov matrix's rank on 3,000
+    seeded systems with n <= 8, half of them rank-deficient.
+
+    The rank of the Krylov matrix [B, AB, ..., A^(n-1)B] is not used: its
+    columns line up with the dominant eigenvectors (Paige, IEEE TAC 26,
+    1981).  On 200 random single-input Hurwitz systems per size (spectral
+    abscissa -0.5, ||A||_1 = 2) it read rank < n on 7 at n = 16 and on all
+    200 at n = 20 and 30; the staircase reads n on all of them.
     """
     A, B = model.A, model.B
-    n, m = model.n, model.m
-    blocks = [B]
-    for _ in range(1, n):
-        blocks.append(A @ blocks[-1])
-    K = np.hstack(blocks)
-    # The singular values of the tall K^T, which LAPACK finds faster than
-    # those of the wide K.
-    sigma = np.linalg.svd(K.T, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    tol = max(n, m) * np.finfo(float).eps * sigma[0]
-    return int(np.count_nonzero(sigma > tol))
+    tol = len(A) ** 2 * sys.float_info.epsilon * _norm1(np.concatenate((A, B), 1)) if B.size else 0.0
+    rank = 0
+    while B.size:
+        # A block with no more rows than columns may reach every state left;
+        # its singular values alone show that, and U is taken only if not.
+        if len(B) <= B.shape[1] and np.count_nonzero(np.linalg.svd(B, compute_uv=False) > tol) == len(B):
+            return rank + len(B)
+        U, sigma, _ = np.linalg.svd(B)
+        rho = int(np.count_nonzero(sigma > tol))
+        T = U[:, rho:].T @ A @ U
+        A, B, rank = T[:, rho:], T[:, :rho], rank + rho
+    return rank

@@ -196,7 +196,7 @@ class TestAnalyze:
         assert result.returncode == 3
         assert result.stderr.count("\n") == 1
         assert "determinant overflows" in result.stderr
-        assert "1.19809809116616e+308" in result.stderr
+        assert "1.1980980911661594e+308" in result.stderr
 
     @pytest.mark.parametrize(
         "triple, zeta, omega_n, regime",

@@ -175,10 +175,10 @@ SWEEP_FAILURES = [
      "zeta must be finite, got nan", [None, "1,2"]),
     # 4 zeta omega_n^3 overflows and the diagonal entry rounds to 0 at point 2
     (["--zeta-grid=1,1e200", "--omega-n-grid=1e50"], ["--zeta=1e200", "--omega-n=1e50"],
-     "closed-form Gramian overflows at zeta=1e+200, omega_n=1e+50", [None]),
+     "closed-form Gramian underflows at zeta=1e+200, omega_n=1e+50", [None]),
     # omega_n^3 overflows and 1/(4 zeta omega_n^3) = 5e-331 rounds to 0 at point 2
     (["--zeta-grid=0.5", "--omega-n-grid=1,1e110"], ["--zeta=0.5", "--omega-n=1e110"],
-     "closed-form Gramian overflows at zeta=0.5, omega_n=1e+110", [None]),
+     "closed-form Gramian underflows at zeta=0.5, omega_n=1e+110", [None]),
     # omega_n^3 overflows, but the closed form's entries do not: det(W) underflows at point 2
     (["--zeta-grid=0.5", "--omega-n-grid=1,1e103"], ["--zeta=0.5", "--omega-n=1e103"],
      "Gramian determinant underflows (entries [[5e-310, 0.0], [0.0, 5e-104]])", [None]),

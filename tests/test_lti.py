@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import gramkit
 from gramkit.lti import (
@@ -606,10 +607,11 @@ class TestControllabilityRank:
         model = StateSpaceModel(A=np.zeros((2, 2)), B=np.array([[1.0], [0.0]]))
         assert controllability_rank(model) == 1
 
-    def test_tall_svd_agrees_with_wide_svd(self):
-        # The rank comes from the singular values of the tall K^T; the wide K
-        # gives the same rank on seeded systems, most of them with sparse
-        # integer entries so that many are rank-deficient.
+    def test_staircase_agrees_with_krylov_rank(self):
+        # The staircase rank equals the numerical rank of the Krylov matrix
+        # K = [B, AB, ..., A^(n-1)B] on seeded systems small enough for K to
+        # be reliable, most of them with sparse integer entries so that many
+        # are rank-deficient.
         rng = np.random.default_rng(14)
         deficient = 0
         for i in range(3000):
@@ -630,6 +632,50 @@ class TestControllabilityRank:
             assert rank == wide, (A.tolist(), B.tolist())
             deficient += rank < n
         assert deficient >= 1000
+
+    def test_controllable_single_input_systems_read_full_rank(self):
+        # Random single-input Hurwitz systems (spectral abscissa -0.5,
+        # ||A||_1 = 2).  The numerical rank of their Krylov matrix falls below
+        # n on 407 of these 800, because its columns line up with the
+        # dominant eigenvectors as n grows.
+        rng = np.random.default_rng(49)
+        for n in (12, 16, 20, 30):
+            for _ in range(200):
+                G = rng.standard_normal((n, n)) / np.sqrt(n)
+                A = G - (np.linalg.eigvals(G).real.max() + 0.5) * np.eye(n)
+                A *= 2.0 / np.linalg.norm(A, 1)
+                B = rng.standard_normal((n, 1))
+                B /= np.sqrt(np.linalg.norm(B @ B.T, 1))
+                assert controllability_rank(StateSpaceModel(A=A, B=B)) == n
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        reached=st.integers(min_value=1, max_value=8),
+        unreached=st.integers(min_value=0, max_value=8),
+        m=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_orthogonal_similarity_keeps_the_controllable_dimension(self, reached, unreached, m, seed):
+        # ([[A11, A12], [0, A22]], [[B1], [0]]) reaches exactly its first
+        # block in any orthonormal basis.  (A11, B1) is built in staircase
+        # form with orthonormal steps, so it is controllable with margin 1,
+        # and ||A22||_2 = 1/2, so the unreached block shrinks the rounding
+        # of the rotation instead of amplifying it step by step.
+        rng = np.random.default_rng(seed)
+        n, r = reached + unreached, min(m, reached)
+        A = rng.standard_normal((n, n))
+        A[reached:, :reached] = 0.0
+        if unreached:
+            A[reached:, reached:] *= 0.5 / np.linalg.norm(A[reached:, reached:], 2)
+        for top in range(r, reached, r):
+            A[top:reached, top - r : top] = 0.0
+            rows = min(r, reached - top)
+            A[top : top + rows, top - r : top] = np.linalg.qr(rng.standard_normal((r, r)))[0][:rows]
+        B = np.zeros((n, m))
+        B[:r] = np.linalg.qr(rng.standard_normal((m, m)))[0][:r]
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        rank = controllability_rank(StateSpaceModel(A=Q @ A @ Q.T, B=Q @ B))
+        assert type(rank) is int and rank == reached
 
 
 class TestStateSpaceModel:

@@ -43,6 +43,7 @@ SCALED = {"differential_entropy_nats", "thermodynamic_entropy", "entropy_index"}
 # The quantity each range message names.
 RANGE_MESSAGES = {
     "closed-form Gramian overflows": ("w11", "w22"),
+    "closed-form Gramian underflows": ("w11", "w22"),
     "Gramian determinant overflows": ("det_wc",),
     "Gramian determinant underflows": ("det_wc",),
     "det(I) = c / det(W)": ("det_i",),
@@ -63,9 +64,11 @@ _far = np.random.default_rng(2028)
 FAR_POINTS = [(10.0 ** _far.uniform(-300.0, 140.0 - 2.0 * x), 10.0**x)
               for x in _far.uniform(102.0, 154.1, 40).tolist()]
 # Points whose 1/(4 zeta omega_n^3) is a normal double although omega_n^3
-# overflows (the first two; zeta is subnormal in the second) or 4 zeta
-# omega_n^3 underflows to 0 (the third).
-SCALED_CUBE_POINTS = [(1e-300, 1e103), (1e-310, 1e103), (1e100, 1e-110)]
+# overflows (the first two; zeta is subnormal in the second), 4 zeta
+# omega_n^3 underflows to 0 (the third), or omega_n^3 is subnormal while
+# 4 zeta omega_n^3 is normal (the last three).
+SCALED_CUBE_POINTS = [(1e-300, 1e103), (1e-310, 1e103), (1e100, 1e-110),
+                      (1e100, 1e-105), (1e90, 1e-104), (1e60, 1e-103)]
 
 # synthesize's predicted energy x_f^T W_T^-1 x_f at zeta = 0.5, omega_n = 1,
 # where cond(W_T) reaches about 1e13 at T = 1e-6: worst relative error over
