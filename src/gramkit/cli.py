@@ -243,61 +243,49 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs at least one of --zeta-grid, --omega-n-grid, --T-grid")
     zetas = _grid_or_scalar(args.zeta_grid, args.zeta, "zeta")
     omegas = _grid_or_scalar(args.omega_n_grid, args.omega_n, "omega-n")
-    horizons, refused = None, None
+    # Deterministic order: zeta outer, omega_n middle, T inner.  The sweep ends
+    # as analyze over its points in table order: the first failure wins.  One
+    # walk decides and formats each grid value once (the T grid before it, each
+    # omega_n where the first zeta reaches it) and stops at its first failure; a
+    # refused T is met at the first point, before its oscillator entries when
+    # no T was accepted, else after its rows.  The rows before the failure share
+    # one stacked kernel call and one report pass, which raises first; then a
+    # kernel failure, whose row comes earlier, replaces the walk's.
+    horizons, seconds, failure = None, [], None
     if args.T_grid is not None:
         horizons = _parse_grid(args.T_grid, "T-grid")
         try:
-            for j, T in enumerate(horizons):
-                _require_positive("T", T)
+            for T in horizons:
+                seconds.append("%.17g" % _require_positive("T", T))
         except ValueError as exc:
-            # Only the first point is reached.  It meets a refused T as
-            # analyze does: the first T after its zeta and omega_n, a later
-            # one after the rows before it.
-            horizons, refused = horizons[:j], exc
-            zetas, omegas = zetas[:1], omegas[:1]
-            if not horizons:
-                OscillatorParams(zeta=zetas[0], omega_n=omegas[0])
-                raise
-
-    # Deterministic order: zeta outer, omega_n middle, T inner.  Each point
-    # runs the library's one-point chain, in table order up to the first one
-    # that fails.  Each zeta and omega_n value is decided by the library's
-    # validator and formatted once, and each zeta's regime and horizon are
-    # named once; each point takes its oscillator entries and, without a T
-    # grid, its closed-form diagonal.  The finite rows of the points before a
-    # failure share one stacked kernel call and every row one report pass,
-    # which raises at the first row that fails; only then is a kernel failure
-    # raised, and then the point's, so the first failure in table order wins.
-    omega_cells, omega_refusal = [], None
-    try:
-        for omega_n in omegas:
-            omega_cells.append("%.17g" % _require_positive("omega_n", omega_n))
-    except ValueError as exc:
-        omega_refusal = exc
-    points, values, failure = [], [], None
+            failure = exc
+        horizons = horizons[:len(seconds)]
+    points, values, omega_cells = [], [], []
     try:
         for zeta in zetas:
             regime = classify_regime(zeta).value
             kind = "finite" if horizons is not None else _closed_form_horizon(zeta).kind
             zeta_cell = "%.17g" % zeta
-            for omega_n, omega_cell in zip(omegas, omega_cells):
+            for j, omega_n in enumerate(omegas):
+                if j == len(omega_cells):
+                    omega_cells.append("%.17g" % _require_positive("omega_n", omega_n))
+                if failure is not None and not seconds:
+                    raise failure
                 entries = _oscillator_entries(zeta, omega_n)
                 values.append(entries if horizons is not None else _closed_form(zeta, omega_n))
-                points.append((zeta_cell, omega_cell, regime, kind))
-            if omega_refusal is not None:
-                raise omega_refusal
+                points.append((zeta_cell, omega_cells[j], regime, kind))
+                if failure is not None:
+                    raise failure
     except (ValueError, ArithmeticError) as exc:
         failure = exc
     if not points:
         raise failure
 
-    kernel_failure = None
     if horizons is None:
         leads = [point + ("",) for point in points]
         W = np.zeros((len(points), 2, 2))
         W[:, (0, 1), (0, 1)] = values
     else:
-        seconds = ["%.17g" % T for T in horizons]
         leads = [point + (text,) for point in points for text in seconds]
         # Row i is point i // len(horizons): A = [[0, 1], [a10, a11]], B = [[0], [1]].
         A = np.zeros((len(leads), 2, 2))
@@ -305,14 +293,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         A[:, 1] = np.repeat(values, len(horizons), axis=0)
         B = np.broadcast_to([[0.0], [1.0]], (len(leads), 2, 1))
         W, kernel_failure = _finite_horizon_gramians(A, B, horizons * len(points))
+        failure = kernel_failure or failure
     lines = [",".join(CSV_COLUMNS)]
     lines += [CSV_ROW % row for row in _report_rows(leads, W, args.duality_c, args.kb)]
-    if kernel_failure is not None:
-        raise kernel_failure
     if failure is not None:
         raise failure
-    if refused is not None:
-        raise refused
     _emit("\n".join(lines), args.out)
     return 0
 

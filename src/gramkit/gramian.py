@@ -477,9 +477,10 @@ def _closed_form(z: float, wn: float) -> list[float]:
     Where omega_n^3 overflows, or omega_n^3 or 4 zeta omega_n^3 is below the
     normal range (a subnormal keeps only some of its digits), the damped
     entry 1/(4 zeta omega_n^3) is formed from the mantissas of zeta and
-    omega_n and scaled by their powers of two once, so it is refused only
-    when it is itself out of range; every other input keeps the formula as
-    written.  An entry that rounds to 0 raises ``ArithmeticError`` naming an
+    omega_n and scaled by their powers of two once; so is the undamped entry
+    1/omega_n^2 where omega_n^2 is below the normal range.  Each is refused
+    only when it is itself out of range; every other input keeps the formula
+    as written.  An entry that rounds to 0 raises ``ArithmeticError`` naming an
     underflow, one that is inf ``OverflowError``.
     """
     try:
@@ -495,6 +496,9 @@ def _closed_form(z: float, wn: float) -> list[float]:
             else:
                 d0 = 1.0 / c
             diagonal = [d0, 1.0 / (4.0 * z * wn)]
+        elif wn * wn < sys.float_info.min:
+            m, e = math.frexp(wn)
+            diagonal = [math.ldexp(1.0 / (m * m), -2 * e), 1.0]
         else:
             diagonal = [1.0 / (wn * wn), 1.0]
     except ArithmeticError:  # a denominator underflows to 0, or the scaled entry overflows

@@ -103,6 +103,10 @@ def grid(values):
     c=finite,
     kb=finite,
 )
+# A later refused T ends the table right after the first point's rows, before
+# the second omega_n's overflow or refusal is met: exit 2, "T must be finite".
+@example(zetas=[0.5], omegas=[1.0, 1e160], horizons=[1.0, math.nan], c=1.0, kb=1.0)
+@example(zetas=[0.5], omegas=[1.0, math.nan], horizons=[1.0, math.nan], c=1.0, kb=1.0)
 def test_sweep_ends_as_analyze_over_its_points(zetas, omegas, horizons, c, kb):
     # A sweep ends as analyze --format csv over its points in table order
     # (zeta outer, T inner): the first point that fails gives the sweep's

@@ -69,6 +69,14 @@ FAR_POINTS = [(10.0 ** _far.uniform(-300.0, 140.0 - 2.0 * x), 10.0**x)
 # 4 zeta omega_n^3 is normal (the last three).
 SCALED_CUBE_POINTS = [(1e-300, 1e103), (1e-310, 1e103), (1e100, 1e-110),
                       (1e100, 1e-105), (1e90, 1e-104), (1e60, 1e-103)]
+# Undamped points whose omega_n^2 is subnormal (omega_n below 1.49e-154) while
+# 1/omega_n^2 is a normal double (omega_n above 7.46e-155): a known point and
+# eight draws from that band.  det(W) = 1/omega_n^2 is then above 4e307, so
+# c = 1e10 keeps det(I) = c / det(W) normal.
+_band = np.random.default_rng(2029)
+SUBNORMAL_SQUARE_OMEGAS = sorted([7.843682514843243e-155]
+                                 + _band.uniform(7.46e-155, 1.5e-154, 8).tolist())
+SUBNORMAL_SQUARE_C = 1e10
 
 # synthesize's predicted energy x_f^T W_T^-1 x_f at zeta = 0.5, omega_n = 1,
 # where cond(W_T) reaches about 1e13 at T = 1e-6: worst relative error over
@@ -88,27 +96,27 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def oracle(zeta: float, omega_n: float) -> dict:
+def oracle(zeta: float, omega_n: float, c: float = C) -> dict:
     """The printed numbers of the point at the working precision."""
     z, w = mpmath.mpf(zeta), mpmath.mpf(omega_n)
     w11, w22 = (1 / (4 * z * w**3), 1 / (4 * z * w)) if z else (1 / w**2, mpmath.mpf(1))
     det = w11 * w22
-    h = mpmath.log(2 * mpmath.pi * mpmath.e) - mpmath.log(C / det) / 2
+    h = mpmath.log(2 * mpmath.pi * mpmath.e) - mpmath.log(c / det) / 2
     return {
         "w11": w11, "w22": w22, "det_wc": det, "lambda_min": min(w11, w22),
         "lambda_max": max(w11, w22), "trace": w11 + w22,
-        "condition_number": max(w11, w22) / min(w11, w22), "det_i": C / det,
+        "condition_number": max(w11, w22) / min(w11, w22), "det_i": c / det,
         "differential_entropy_nats": h, "thermodynamic_entropy": K_B * h,
         "entropy_index": mpmath.log(det),
     }
 
 
-def checked_oracle(zeta: float, omega_n: float) -> dict:
+def checked_oracle(zeta: float, omega_n: float, c: float = C) -> dict:
     """The 40-digit oracle, checked against the 60-digit one."""
     with mpmath.workdps(60):
-        fine = oracle(zeta, omega_n)
+        fine = oracle(zeta, omega_n, c)
     with mpmath.workdps(40):
-        ref = oracle(zeta, omega_n)
+        ref = oracle(zeta, omega_n, c)
         for name, value in ref.items():
             assert abs(value - fine[name]) <= mpmath.mpf(10) ** -35 * max(1, abs(fine[name])), name
     return ref
@@ -163,16 +171,16 @@ def check_point(zeta: float, omega_n: float, code: int, row: str, err: str) -> N
     assert not all(normal(ref[name]) for name in named[0]), (zeta, omega_n, err)
 
 
-def analyze(zeta: float, omega_n: float) -> tuple[int, str, str]:
+def analyze(zeta: float, omega_n: float, c: float = C) -> tuple[int, str, str]:
     code, out, err = run(["analyze", f"--zeta={zeta!r}", f"--omega-n={omega_n!r}", "--format=csv",
-                          f"--duality-c={C!r}", f"--kb={K_B!r}"])
+                          f"--duality-c={c!r}", f"--kb={K_B!r}"])
     return code, out.splitlines()[1] if code == 0 else "", err
 
 
-def sweep(zetas: list, omegas: list) -> tuple[int, str, str]:
+def sweep(zetas: list, omegas: list, c: float = C) -> tuple[int, str, str]:
     return run(["sweep", "--zeta-grid=" + ",".join(map(repr, zetas)),
                 "--omega-n-grid=" + ",".join(map(repr, omegas)),
-                f"--duality-c={C!r}", f"--kb={K_B!r}"])
+                f"--duality-c={c!r}", f"--kb={K_B!r}"])
 
 
 def test_in_range_points_print_the_oracle_numbers():
@@ -208,6 +216,17 @@ def test_points_past_the_cube_range_print_the_oracle_numbers():
         check_point(z, w, *end)
         code, out, err = sweep([z], [w])
         assert (code, err) == (0, "") and out.splitlines()[1] == end[1]
+
+
+def test_undamped_points_with_a_subnormal_square_print_the_oracle_numbers():
+    ends = [analyze(0.0, w, SUBNORMAL_SQUARE_C) for w in SUBNORMAL_SQUARE_OMEGAS]
+    for w, (code, row, err) in zip(SUBNORMAL_SQUARE_OMEGAS, ends):
+        assert (code, err) == (0, ""), (w, err)
+        found = errors(row, checked_oracle(0.0, w, SUBNORMAL_SQUARE_C))
+        assert all(found[name] <= bound for name, bound in BOUNDS.items()), (w, found)
+    code, out, err = sweep([0.0], SUBNORMAL_SQUARE_OMEGAS, SUBNORMAL_SQUARE_C)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [row for _, row, _ in ends]
 
 
 def test_synthesize_predicts_the_oracle_energy(tmp_path):
