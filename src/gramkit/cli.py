@@ -1,11 +1,11 @@
 """Command-line front end: analysis reports, parameter sweeps, and
 minimum-energy control synthesis with machine-readable output.
 
-Exit codes are disjoint: 0 success, 2 validation failure, 3 numerical
-failure or floating-point range failure, 4 verification failure.  Reports
-default to JSON on stdout; files are written only when --out is given.  The
-JSON schema and CSV column order are documented in the README and carry a
-schema_version field.
+Exit codes are disjoint: 0 success, 2 validation or usage failure, 3
+numerical failure or floating-point range failure, 4 verification failure;
+each non-zero exit prints one line on stderr.  Reports default to JSON on
+stdout; files are written only when --out is given.  The JSON schema and CSV
+column order are documented in the README and carry a schema_version field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .energy import synthesize_min_energy_control, verify_control
 from .entropy import LN_2PI_E, _entropy_chain, nats_to_bits
 from .errors import NonHurwitzError, QuadratureConvergenceError, SingularGramianError
 from .gramian import (
-    GramianResult,
     _closed_form,
     _closed_form_horizon,
     _cofactor_determinant,
@@ -31,10 +30,10 @@ from .gramian import (
     _finite_horizon_gramians,
     _spectra,
     _symmetrize,
+    # Not called here; perfbench/selftest.py::test_tracer_restores_originals reads this binding.
     finite_horizon_gramian,
-    oscillator_gramian_closed_form,
 )
-from .lti import OscillatorParams, StateSpaceModel, classify_regime, make_oscillator
+from .lti import OscillatorParams, classify_regime, make_oscillator
 from .lti import _oscillator_entries, _require_finite, _require_positive
 
 SCHEMA_VERSION = 1
@@ -150,11 +149,11 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def _analysis_record(
-    params: OscillatorParams, model: StateSpaceModel, gram: GramianResult, row: tuple,
-    c: float, k_b: float,
+    params: OscillatorParams, row: tuple, T: float | None, c: float, k_b: float
 ) -> dict:
-    """One analysis result, its report row, as a flat dict."""
+    """One analysis result, from its report row, as a flat dict."""
     cells = dict(zip(CSV_COLUMNS, row))
+    model = make_oscillator(params)
     return {
         "schema_version": SCHEMA_VERSION,
         "zeta": params.zeta,
@@ -163,9 +162,9 @@ def _analysis_record(
         "a_matrix": model.A.tolist(),
         "b_matrix": model.B.tolist(),
         "horizon": cells["horizon"],
-        "horizon_seconds": gram.horizon.seconds,
-        "gramian_method": gram.method,
-        "gramian": gram.matrix.tolist(),
+        "horizon_seconds": T,
+        "gramian_method": "closed_form" if T is None else "augmented_expm",
+        "gramian": [[cells["w11"], cells["w12"]], [cells["w12"], cells["w22"]]],
         "det_wc": cells["det_wc"],
         "eigenvalues": [cells["lambda_min"], cells["lambda_max"]],
         "trace": cells["trace"],
@@ -204,24 +203,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.horizon == "finite":
         if args.T is None:
             raise ValueError("--horizon finite needs --T")
-        horizon_seconds = _require_positive("T", args.T)
-    else:
-        if args.T is not None:
-            raise ValueError("--T is only valid with --horizon finite")
-        horizon_seconds = None
-    model = make_oscillator(params)
-    if horizon_seconds is None:
-        gram = oscillator_gramian_closed_form(params)
-    else:
-        gram = finite_horizon_gramian(model, horizon_seconds, method="augmented_expm")
-    seconds = "" if horizon_seconds is None else "%.17g" % horizon_seconds
-    lead = ("%.17g" % params.zeta, "%.17g" % params.omega_n, params.regime.value,
-            gram.horizon.kind, seconds)
-    row = _report_rows([lead], gram.matrix[None], args.duality_c, args.kb)[0]
+    elif args.T is not None:
+        raise ValueError("--T is only valid with --horizon finite")
+    # The sweep's table at its one point.
+    horizons = None if args.T is None else [args.T]
+    (row,) = _table([params.zeta], [params.omega_n], horizons, args.duality_c, args.kb)
     if args.format == "csv":
         text = ",".join(CSV_COLUMNS) + "\n" + CSV_ROW % row
     else:
-        record = _analysis_record(params, model, gram, row, args.duality_c, args.kb)
+        record = _analysis_record(params, row, args.T, args.duality_c, args.kb)
         text = json.dumps(record, indent=2) if args.format == "json" else _record_to_text(record)
     _emit(text, args.out)
     return 0
@@ -243,17 +233,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs at least one of --zeta-grid, --omega-n-grid, --T-grid")
     zetas = _grid_or_scalar(args.zeta_grid, args.zeta, "zeta")
     omegas = _grid_or_scalar(args.omega_n_grid, args.omega_n, "omega-n")
-    # Deterministic order: zeta outer, omega_n middle, T inner.  The sweep ends
-    # as analyze over its points in table order: the first failure wins.  One
-    # walk decides and formats each grid value once (the T grid before it, each
-    # omega_n where the first zeta reaches it) and stops at its first failure; a
-    # refused T is met at the first point, before its oscillator entries when
-    # no T was accepted, else after its rows.  The rows before the failure share
-    # one stacked kernel call and one report pass, which raises first; then a
-    # kernel failure, whose row comes earlier, replaces the walk's.
-    horizons, seconds, failure = None, [], None
-    if args.T_grid is not None:
-        horizons = _parse_grid(args.T_grid, "T-grid")
+    horizons = None if args.T_grid is None else _parse_grid(args.T_grid, "T-grid")
+    rows = _table(zetas, omegas, horizons, args.duality_c, args.kb)
+    _emit("\n".join([",".join(CSV_COLUMNS)] + [CSV_ROW % row for row in rows]), args.out)
+    return 0
+
+
+def _table(zetas: list[float], omegas: list[float], horizons: list[float] | None,
+           c: float, k_b: float) -> list[tuple]:
+    """The report rows of a grid; ``horizons`` is None for the infinite horizon.
+
+    Deterministic order: zeta outer, omega_n middle, T inner.  The table ends
+    as its one-point tables (analyze) do in table order: the first failure
+    wins.  One walk decides and formats each grid value once (the T grid
+    before it, each omega_n where the first zeta reaches it) and stops at its
+    first failure; a refused T is met at the first point, before its
+    oscillator entries when no T was accepted, else after its rows.  The rows
+    before the failure share one stacked kernel call and one report pass,
+    which raises first; then a kernel failure, whose row comes earlier,
+    replaces the walk's.
+    """
+    seconds, failure = [], None
+    if horizons is not None:
         try:
             for T in horizons:
                 seconds.append("%.17g" % _require_positive("T", T))
@@ -294,12 +295,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         B = np.broadcast_to([[0.0], [1.0]], (len(leads), 2, 1))
         W, kernel_failure = _finite_horizon_gramians(A, B, horizons * len(points))
         failure = kernel_failure or failure
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [CSV_ROW % row for row in _report_rows(leads, W, args.duality_c, args.kb)]
+    rows = _report_rows(leads, W, c, k_b)
     if failure is not None:
         raise failure
-    _emit("\n".join(lines), args.out)
-    return 0
+    return rows
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -368,10 +367,18 @@ def _add_convention_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, which main
+    prints as one line (exit 2); its subparsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gramkit",
         description="Controllability Gramians, control energy, and entropy metrics "
         "for the damped harmonic oscillator.",
@@ -417,15 +424,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags whose value is a comma-separated list of numbers.
+_LIST_FLAGS = ("--xf", "--zeta-grid", "--omega-n-grid", "--T-grid")
+
+
+def _join_negative_lists(argv: Sequence[str]) -> list[str]:
+    """argv with each number-list flag and a following value that starts with
+    "-" and parses as a number list (say -1,0) joined as flag=value; argparse
+    would take that value for a flag."""
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in _LIST_FLAGS and argv[i + 1].startswith("-"):
+            try:
+                _parse_numbers(argv[i + 1], argv[i])
+            except ValueError:
+                continue
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on unknown or malformed flags, 0 on --help.
-        return int(exc.code or 0)
-    try:
+        args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
         return args.func(args)
+    except SystemExit as exc:
+        # argparse exits 0 after --help.
+        return int(exc.code or 0)
     except (NonHurwitzError, SingularGramianError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -213,17 +213,21 @@ def _integrate_squared_norm(values: np.ndarray, h: float) -> float:
 def verify_control(model: StateSpaceModel, profile: ControlProfile) -> EnergyVerificationReport:
     """Simulate a profile from x(0) = 0 and compare against its promises.
 
-    Raises ``OverflowError`` when the measured energy, the integral of
-    ||u||^2, leaves the double range.
+    Raises ``ArithmeticError`` naming the step size h when the simulated
+    final state is not finite, and ``OverflowError`` when the measured
+    energy, the integral of ||u||^2, leaves the double range.
     """
     target = _require_state("target", profile.target, model.n)
     T, steps = profile.T, len(profile.values) - 1
     # The profile's exact response, its samples joined linearly.  Both norms
     # are taken on 2**-e times their vectors, e the exponent of max|target|,
-    # so that a representable target's norm cannot overflow; a state that
-    # leaves the double range fails the caller's gate without a warning.
+    # so that a representable target's norm cannot overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         final = simulate(model, profile.values, np.zeros(model.n), T)[-1]
+        if not np.isfinite(final).all():
+            raise ArithmeticError(
+                f"the simulated final state is not finite at step size h = {T / steps!r}"
+            )
         e = math.frexp(float(np.abs(target).max()))[1]
         target_norm = float(np.linalg.norm(np.ldexp(target, -e)))
         gap = float(np.linalg.norm(np.ldexp(final - target, -e)))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 from gramkit import cli
 from gramkit.energy import synthesize_min_energy_control
 from gramkit.entropy import info_entropy_report
-from gramkit.gramian import GramianResult, Horizon, gramian_determinant
+from gramkit.gramian import (
+    GramianResult,
+    Horizon,
+    finite_horizon_gramian,
+    gramian_determinant,
+    oscillator_gramian_closed_form,
+)
 from gramkit.lti import OscillatorParams, make_oscillator
 
 ANALYZE_KEYS = {
@@ -68,6 +75,12 @@ def run_in_process(*args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+# The analyze grid of tools/cli_corpus.py; None is the infinite horizon.
+CORPUS_ZETAS = [0.0, 1e-320, 0.01, 0.5, 1.0, 4.0, 1e300]
+CORPUS_OMEGAS = [1e-3, 1.0, 2.0, 3e102, 1e200]
+CORPUS_HORIZONS = [None, 1e-8, 3.0, 1000.0, 1e20, 1e-300]
 
 
 class TestAnalyze:
@@ -149,6 +162,30 @@ class TestAnalyze:
         assert report["thermodynamic_entropy"] == pytest.approx(
             3.0 * report["differential_entropy_nats"], rel=1e-15, abs=0.0
         )
+
+    def test_gramian_is_the_one_row_api(self):
+        # analyze reaches its Gramian only through the sweep's table; its JSON
+        # gramian is bit for bit the public one-row API's matrix, and where
+        # that API refuses the point analyze fails too.
+        reported = 0
+        for zeta, omega_n, T in itertools.product(CORPUS_ZETAS, CORPUS_OMEGAS, CORPUS_HORIZONS):
+            argv = ["analyze", f"--zeta={zeta!r}", f"--omega-n={omega_n!r}"]
+            if T is not None:
+                argv += ["--horizon=finite", f"--T={T!r}"]
+            code, out, _ = run_in_process(*argv)
+            params = OscillatorParams(zeta, omega_n)
+            try:
+                if T is None:
+                    gram = oscillator_gramian_closed_form(params)
+                else:
+                    gram = finite_horizon_gramian(make_oscillator(params), T)
+            except ArithmeticError:
+                assert code == 3, argv
+                continue
+            if code == 0:
+                assert repr(json.loads(out)["gramian"]) == repr(gram.matrix.tolist()), argv
+                reported += 1
+        assert reported
 
     def test_csv_and_text_formats(self):
         csv_result = run_cli("analyze", "--zeta", "0.5", "--omega-n", "2", "--format", "csv")
@@ -365,9 +402,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("finite", [True, False])
     def test_rows_match_analyze(self, finite):
-        # The sweep and analyze share the Gramian kernel (a stacked call
-        # against analyze's k = 1 call) and the report pass, so every row is
-        # byte-identical to analyze --format csv at its point.
+        # analyze is the sweep's table at its one point, so every row is
+        # byte-identical to analyze --format csv at its point: the sweep's
+        # stacked kernel call gives each row the bits of the one-row call.
         args = ["--zeta-grid", "0,0.4,1,1.6", "--omega-n-grid", "0.5,3,20"]
         if finite:
             args += ["--T-grid", "1e-8,0.5,20,1000"]

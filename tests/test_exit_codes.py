@@ -1,9 +1,10 @@
 """The CLI's exit-code contract over the whole finite double range.
 
-Every finite input ends in exit 0, 2, 3 or 4; a non-zero exit prints exactly
-one stderr line and exit 0 prints none; no floating-point warning fires on
-the way (warnings are escalated to errors here); and a successful run, or
-a transfer that misses its verification gate, reports no NaN or infinity.
+Every finite input ends in exit 0, 2, 3 or 4; a non-zero exit, a usage error
+included, prints exactly one stderr line and exit 0 prints none; no
+floating-point warning fires on the way (warnings are escalated to errors
+here); and a successful run, or a transfer that misses its verification
+gate, reports no NaN or infinity.
 A sweep ends exactly as analyze does over its points in table order.
 """
 
@@ -186,6 +187,14 @@ SWEEP_FAILURES = [
     # omega_n^3 overflows, but the closed form's entries do not: det(W) underflows at point 2
     (["--zeta-grid=0.5", "--omega-n-grid=1,1e103"], ["--zeta=0.5", "--omega-n=1e103"],
      "Gramian determinant underflows (entries [[5e-310, 0.0], [0.0, 5e-104]])", [None]),
+    # a grid that starts with a minus sign, as the token after its flag, is its value
+    (["--zeta-grid", "-1,0.5", "--omega-n=1"], ["--zeta=-1", "--omega-n=1"],
+     "zeta must be >= 0, got -1.0", [None, "1,2"]),
+    (["--zeta=0.5", "--omega-n-grid", "-1e-3,1"], ["--zeta=0.5", "--omega-n=-1e-3"],
+     "omega_n must be > 0, got -0.001", [None, "1,2"]),
+    (["--zeta=0.5", "--omega-n=1", "--T-grid", "-inf,1"],
+     ["--zeta=0.5", "--omega-n=1", "--horizon=finite", "--T=-inf"],
+     "T must be finite, got -inf", [None]),
 ]
 
 
@@ -223,6 +232,8 @@ def test_sweep_fails_as_analyze_at_its_failing_point(grids, point, message, T_gr
 @example(zeta=15.0, omega_n=15.0, T=15.0, xf=(1.0, 0.0), steps=2000)
 # |x_f|^2 overflows while the energy does not: the error is still finite.
 @example(zeta=0.5, omega_n=1e-5, T=1e7, xf=(1e160, 0.0), steps=2000)
+# The step's exponential overflows at h = 5e36: the state is not finite (exit 3).
+@example(zeta=0.0, omega_n=1.0, T=1e40, xf=(1.0, 0.0), steps=2000)
 @given(
     zeta=finite,
     omega_n=finite,
@@ -243,6 +254,35 @@ def test_synthesize(tmp_path_factory, zeta, omega_n, T, xf, steps):
             f"--out={out}",
         ]
     )
+
+
+@contract
+# A target that starts with a minus sign is the value of --xf, not a flag.
+@example(zeta=0.5, omega_n=1.0, T=3.0, xf=(-1.0, 0.0), bogus=False, out=True)
+# Usage errors print one line: an unknown flag, and a missing --out.
+@example(zeta=0.5, omega_n=1.0, T=3.0, xf=(-1.0, 0.0), bogus=True, out=True)
+@example(zeta=0.5, omega_n=1.0, T=3.0, xf=(-1.0, 0.0), bogus=False, out=False)
+@given(
+    zeta=positive,
+    omega_n=positive,
+    T=positive,
+    xf=st.tuples(finite, finite),
+    bogus=st.just(False),
+    out=st.just(True),
+)
+def test_synthesize_with_separate_tokens(tmp_path_factory, zeta, omega_n, T, xf, bogus, out):
+    # Each flag and its value as two tokens, as a shell passes them, end as
+    # the flag=value form does.
+    flags = {"--zeta": repr(zeta), "--omega-n": repr(omega_n), "--T": repr(T),
+             "--xf": f"{xf[0]!r},{xf[1]!r}"}
+    if out:
+        flags["--out"] = str(tmp_path_factory.getbasetemp() / "profile.csv")
+    separate = ["synthesize", *(token for flag in flags.items() for token in flag)]
+    joined = ["synthesize", *(f"{flag}={value}" for flag, value in flags.items())]
+    if bogus:
+        separate.append("--bogus")
+        joined.append("--bogus")
+    assert check_contract(separate) == check_contract(joined)
 
 
 @contract

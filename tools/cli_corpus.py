@@ -108,6 +108,19 @@ LIST_REFUSALS = [
     ["sweep", "--zeta-grid", "0.3", "--zeta", "1", "--omega-n", "7"],
     ["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", "1,,0", "--out", OUT],
 ]
+# Each flag and its value as separate tokens: a list that starts with a minus
+# sign is its flag's value; usage errors (an unknown flag, a missing --out)
+# print one line and exit 2.
+SEPARATE_TOKENS = [
+    ["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", "-1,0", "--out", OUT],
+    ["sweep", "--zeta-grid", "-1,0.5", "--omega-n", "1"],
+    ["analyze", "--bogus"],
+    ["synthesize", "--zeta", "0.5", "--omega-n", "1", "--T", "3", "--xf", "1,0"],
+]
+# The verifier's step exponential overflows at h = 5e36: the simulated state
+# is not finite (exit 3).
+NON_FINITE_STATE = ["synthesize", "--zeta", "0", "--omega-n", "1", "--T", "1e40", "--xf", "1,0",
+                    "--out", OUT]
 
 
 def corpus() -> list[list[str]]:
@@ -147,6 +160,8 @@ def corpus() -> list[list[str]]:
     for point in COARSE_TRANSFERS:
         runs.append(["synthesize", *point, "--xf", "1,0", "--out", OUT])
     runs.extend(LIST_REFUSALS)
+    runs.extend(SEPARATE_TOKENS)
+    runs.append(NON_FINITE_STATE)
     return runs
 
 
